@@ -5,16 +5,8 @@ Run:  python demos/05_bound_checks.py
 
 import json
 
-from bettibounds import (
-    Ideal,
-    InstanceSpec,
-    PolyRing,
-    check_thm_lc,
-    check_thm_jason,
-    generate_instance,
-    run_all_checks,
-    run_corpus,
-)
+from bettibounds import Ideal, InstanceSpec, PolyRing, generate_instance, run_all_checks, run_corpus
+from bettibounds.verifier import check_thm_jason, check_thm_lc
 
 ring = PolyRing(2, 32003, ("x", "y"))
 x, y = ring.variables()

@@ -57,21 +57,11 @@ from .invariants import (
     socle_degrees,
 )
 from .verifier import (
+    CHECKS,
     Bound,
     BoundReport,
     CheckContext,
     InstanceSpec,
-    check_coroll_pd_reg,
-    check_coroll_reg,
-    check_coroll_syz_reg,
-    check_lemma_reduction,
-    check_mccullough,
-    check_remark_deg,
-    check_semicontinuity_and_taylor,
-    check_thm_jason,
-    check_thm_lc,
-    check_thm_prime,
-    check_thm_syz,
     generate_instance,
     run_all_checks,
     run_corpus,

@@ -1,7 +1,8 @@
 """Command line front end.
 
-Subcommands: gb, betti, invariants, check, corpus.  Exit code is 0 only when
-no check failed and no error occurred.
+Subcommands: gb, betti, invariants, check, corpus.  Exit codes: 0 when no
+check failed, 1 when a check failed, 2 for bad input (unreadable file, parse
+error, out-of-range value), 3 for any other error, with its traceback.
 """
 
 from __future__ import annotations
@@ -9,56 +10,42 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .groebner import groebner_basis
-from .ideal_io import ParseError, format_ideal, parse_ideal
+from .ideal_io import parse_ideal
 from .invariants import invariant_bundle
 from .polyring import format_poly, order_by_name
 from .resolution import format_betti, koszul_betti
-from .verifier import (
-    FAIL,
-    CheckContext,
-    check_coroll_pd_reg,
-    check_coroll_reg,
-    check_coroll_syz_reg,
-    check_lemma_reduction,
-    check_remark_deg,
-    check_semicontinuity_and_taylor,
-    check_thm_jason,
-    check_thm_lc,
-    check_thm_prime,
-    check_thm_syz,
-    run_all_checks,
-    run_corpus,
-)
+from .verifier import CHECKS, FAIL, CheckContext, run_all_checks, run_corpus
 
-CHECK_NAMES = (
-    "thm_lc",
-    "thm_prime",
-    "coroll_reg",
-    "coroll_pd_reg",
-    "thm_syz",
-    "coroll_syz_reg",
-    "thm_jason",
-    "lemma_reduction",
-    "remark_deg",
-    "semicontinuity_and_taylor",
-)
+
+def _r_sweep(text: str) -> tuple[int, ...]:
+    try:
+        values = tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad --r-sweep value {text!r}")
+    if not values or any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError("--r-sweep needs positive integers")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bettibounds", description=__doc__)
     ap.add_argument("--prime", type=int, default=32003, help="coefficient field for generated instances")
-    ap.add_argument("--order", choices=("grevlex", "lex"), default="grevlex")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--faithful", action="store_true",
-                    help="disable Groebner optimizations where a literal-procedure count is measured")
-    ap.add_argument("--r-sweep", default="1,2,3,4", help="comma-separated r values for the syzygy-fraction checks")
+    ap.add_argument("--r-sweep", type=_r_sweep, default="1,2,3,4",
+                    help="comma-separated r values for the syzygy-fraction checks")
     ap.add_argument("--out", default=None, help="output path (JSON lines for checks, prefix for corpus)")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    p = sub.add_parser("gb", help="print the reduced Groebner basis")
+    p.add_argument("file", help="ideal file ('-' for stdin)")
+    p.add_argument("--order", choices=("grevlex", "lex"), default="grevlex")
+    p.add_argument("--faithful", action="store_true",
+                   help="disable the product criterion, to measure the literal procedure")
+
     for name, help_ in (
-        ("gb", "print the reduced Groebner basis"),
         ("betti", "print the graded Betti table"),
         ("invariants", "print pd, depth, reg, alpha, socle degrees"),
     ):
@@ -69,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--all", action="store_true")
-    g.add_argument("--name", choices=CHECK_NAMES)
+    g.add_argument("--name", choices=tuple(CHECKS))
 
     p = sub.add_parser("corpus", help="generate a seeded corpus and run the whole suite")
     p.add_argument("--size", type=int, default=500)
@@ -81,94 +68,67 @@ def _read_ideal(path: str):
     return parse_ideal(text)
 
 
-def _parse_r_sweep(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise SystemExit(f"bad --r-sweep value {text!r}")
-    if not values or any(v < 1 for v in values):
-        raise SystemExit("--r-sweep needs positive integers")
-    return values
+def _run(args, out) -> int:
+    if args.command == "gb":
+        order = order_by_name(args.order)
+        I, _ = _read_ideal(args.file)
+        gb = groebner_basis(I, order, use_criterion=not args.faithful)
+        for g in gb.elements:
+            print(format_poly(g, order), file=out)
+        return 0
+
+    if args.command == "betti":
+        I, _ = _read_ideal(args.file)
+        print(format_betti(koszul_betti(I, seed=args.seed)), file=out)
+        return 0
+
+    if args.command == "invariants":
+        I, _ = _read_ideal(args.file)
+        bundle = invariant_bundle(I, seed=args.seed)
+        print(json.dumps(bundle.as_dict(), sort_keys=True), file=out)
+        return 0
+
+    if args.command == "check":
+        I, meta = _read_ideal(args.file)
+        if args.all:
+            reports = run_all_checks(I, seed=args.seed, instance=args.file, meta=meta, r_values=args.r_sweep)
+        else:
+            ctx = CheckContext(I, seed=args.seed, instance=args.file)
+            reports = CHECKS[args.name](ctx, meta, args.r_sweep)
+            if not reports:
+                raise ValueError(f"{args.name} does not apply: {args.file} does not assert its hypothesis")
+        for r in reports:
+            print(r.to_json(), file=out)
+        return 1 if any(r.verdict == FAIL for r in reports) else 0
+
+    # corpus
+    prefix = args.out or "corpus"
+    summary = run_corpus(
+        size=args.size,
+        seed=args.seed,
+        jsonl_path=f"{prefix}.jsonl",
+        tsv_path=f"{prefix}.tsv",
+        r_values=args.r_sweep,
+        prime=args.prime,
+    )
+    print(json.dumps(summary, sort_keys=True))
+    return 1 if summary["fail"] else 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    order = order_by_name(args.order)
-    out = open(args.out, "w", encoding="utf-8") if args.out and args.command != "corpus" else sys.stdout
-
+    out = sys.stdout
     try:
-        if args.command == "gb":
-            I, _ = _read_ideal(args.file)
-            gb = groebner_basis(I, order, use_criterion=not args.faithful)
-            for g in gb.elements:
-                print(format_poly(g, order), file=out)
-            return 0
-
-        if args.command == "betti":
-            I, _ = _read_ideal(args.file)
-            print(format_betti(koszul_betti(I, seed=args.seed)), file=out)
-            return 0
-
-        if args.command == "invariants":
-            I, _ = _read_ideal(args.file)
-            bundle = invariant_bundle(I, seed=args.seed)
-            print(json.dumps(bundle.as_dict(), sort_keys=True), file=out)
-            return 0
-
-        if args.command == "check":
-            I, meta = _read_ideal(args.file)
-            r_values = _parse_r_sweep(args.r_sweep)
-            if args.all:
-                reports = run_all_checks(I, seed=args.seed, instance=args.file, meta=meta, r_values=r_values)
-            else:
-                ctx = CheckContext(I, seed=args.seed, instance=args.file, faithful=args.faithful)
-                name = args.name
-                if name == "thm_lc":
-                    reports = [check_thm_lc(I, ctx)]
-                elif name == "thm_prime":
-                    reports = [check_thm_prime(I, h=meta.get("height"),
-                                               user_asserts_unmixed_radical=bool(meta.get("unmixed_radical")),
-                                               ctx=ctx)]
-                elif name == "coroll_reg":
-                    reports = [check_coroll_reg(I, ctx)]
-                elif name == "coroll_pd_reg":
-                    reports = [check_coroll_pd_reg(I, ctx)]
-                elif name == "thm_syz":
-                    reports = [check_thm_syz(I, seed=args.seed, ctx=ctx)]
-                elif name == "coroll_syz_reg":
-                    reports = [check_coroll_syz_reg(I, seed=args.seed, ctx=ctx)]
-                elif name == "thm_jason":
-                    reports = check_thm_jason(I, r_values, ctx)
-                elif name == "lemma_reduction":
-                    reports = [check_lemma_reduction(I, seed=args.seed, ctx=ctx)]
-                elif name == "remark_deg":
-                    reports = [check_remark_deg(I, delta, order, ctx) for delta in (2, 3)]
-                else:
-                    reports = [check_semicontinuity_and_taylor(I, ctx)]
-            for r in reports:
-                print(r.to_json(), file=out)
-            return 1 if any(r.verdict == FAIL for r in reports) else 0
-
-        if args.command == "corpus":
-            prefix = args.out or "corpus"
-            summary = run_corpus(
-                size=args.size,
-                seed=args.seed,
-                jsonl_path=f"{prefix}.jsonl",
-                tsv_path=f"{prefix}.tsv",
-                r_values=_parse_r_sweep(args.r_sweep),
-                prime=args.prime,
-            )
-            print(json.dumps(summary, sort_keys=True))
-            return 1 if summary["fail"] else 0
-
-        raise SystemExit(f"unknown command {args.command}")
-    except ParseError as exc:
+        if args.out and args.command != "corpus":
+            out = open(args.out, "w", encoding="utf-8")
+        return _run(args, out)
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # an internal error: keep its traceback for the report
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     finally:
         if out is not sys.stdout:
             out.close()

@@ -130,8 +130,8 @@ _PACK_LIMIT = 1 << 13  # headroom: field sums stay clear of the guard bits
 def _packed_key_fn(order: MonomialOrder, shifts: tuple[int, ...]):
     """Monomial-order key on packed exponents, as a single integer.
 
-    Bigger key = bigger monomial.  Returns None for orders the packed engine
-    does not know, in which case the reducer falls back to tuple arithmetic.
+    Bigger key = bigger monomial.  Only the orders below have one; any other
+    order is refused.
     """
     if order.name == "lex":
         return lambda raw: raw  # big-endian packing compares lexicographically
@@ -151,7 +151,8 @@ def _packed_key_fn(order: MonomialOrder, shifts: tuple[int, ...]):
                 k = (k << _W) | (_FMASK - x)
             return k
         return key
-    return None
+    raise ValueError(f"monomial order {order.name!r} has no packed key; "
+                     "the reducer supports grevlex, lex and elim+grevlex")
 
 
 class _Reducer:
@@ -159,8 +160,8 @@ class _Reducer:
 
     Exponent vectors are packed into single integers (16 bits per variable),
     so a monomial product is one addition and a divisibility test is one
-    guarded subtraction.  Falls back to tuple arithmetic for exotic orders
-    or out-of-range exponents.
+    guarded subtraction.  Input exponents must stay below 2^13, and the order
+    must have a packed key; anything else raises ValueError.
 
     Standard expression contract: every quotient term q satisfies
     in(q * g_t) <= in(f), and no monomial of the remainder is divisible by
@@ -179,8 +180,6 @@ class _Reducer:
         self.keyfn = _packed_key_fn(order, self.shifts)
         self.lms: list[int] = []
         self.tails: list[list[tuple[int, int]]] = []
-        self.slow_divisors: list[Poly] = []
-        self.slow_lms: list[Exponents] = []
 
     # -- packing ---------------------------------------------------------------
 
@@ -188,7 +187,7 @@ class _Reducer:
         v = 0
         for x, s in zip(e, self.shifts):
             if x >= _PACK_LIMIT:
-                raise OverflowError("exponent too large for the packed reducer")
+                raise ValueError(f"exponent {x} is out of range: the packed reducer needs exponents below 2^13")
             v |= x << s
         return v
 
@@ -199,27 +198,13 @@ class _Reducer:
 
     def add_divisor(self, g: Poly) -> None:
         lm = g.leading_monomial(self.order)
-        self.slow_divisors.append(g)
-        self.slow_lms.append(lm)
-        if self.keyfn is not None:
-            self.lms.append(self.pack(lm))
-            self.tails.append([(self.pack(e), c) for e, c in g.terms.items() if e != lm])
-
-    def __len__(self) -> int:
-        return len(self.slow_divisors)
+        self.lms.append(self.pack(lm))
+        self.tails.append([(self.pack(e), c) for e, c in g.terms.items() if e != lm])
 
     # -- reduction -----------------------------------------------------------------
 
     def reduce(self, fterms, want_quotients: bool = False, skip: int | None = None):
         """(quotient dicts or None, remainder dict), exponent-tuple keyed."""
-        if self.keyfn is None:
-            return self._reduce_slow(fterms, want_quotients, skip)
-        try:
-            return self._reduce_packed(fterms, want_quotients, skip)
-        except OverflowError:
-            return self._reduce_slow(fterms, want_quotients, skip)
-
-    def _reduce_packed(self, fterms, want_quotients: bool, skip: int | None):
         p = self.p
         keyfn = self.keyfn
         guards = self.guards
@@ -257,7 +242,7 @@ class _Reducer:
             for e, gc in tails[hit]:
                 me = q + e
                 if me & guards:
-                    raise OverflowError("exponent growth exceeded packed fields")
+                    raise ValueError("exponent growth reached 2^15 inside the packed reducer")
                 cur = work.get(me)
                 if cur is None:
                     nc = (-c * gc) % p
@@ -275,69 +260,6 @@ class _Reducer:
         if quots is None:
             return None, rem_t
         return [{unpack(q): c for q, c in qd.items()} for qd in quots], rem_t
-
-    def _reduce_slow(self, fterms, want_quotients: bool, skip: int | None):
-        p = self.p
-        key = self.order.key
-        keycache: dict = {}
-
-        def negkey(m):
-            k = keycache.get(m)
-            if k is None:
-                k = tuple(-x for x in key(m))
-                keycache[m] = k
-            return k
-
-        divisors = self.slow_divisors
-        lms = self.slow_lms
-        work = dict(fterms)
-        heap = [(negkey(m), m) for m in work]
-        heapq.heapify(heap)
-        push = heapq.heappush
-        pop = heapq.heappop
-        rem: dict[Exponents, int] = {}
-        quots = [dict() for _ in divisors] if want_quotients else None
-
-        while heap:
-            _, m = pop(heap)
-            c = work.pop(m, 0)
-            if not c:
-                continue
-            hit = -1
-            for t, lm in enumerate(lms):
-                if t == skip:
-                    continue
-                for a, b in zip(lm, m):
-                    if a > b:
-                        break
-                else:
-                    hit = t
-                    break
-            if hit < 0:
-                rem[m] = c
-                continue
-            lm = lms[hit]
-            q = exp_sub(m, lm)
-            if quots is not None:
-                qd = quots[hit]
-                qd[q] = (qd.get(q, 0) + c) % p
-            for e, gc in divisors[hit].terms.items():
-                if e == lm:
-                    continue
-                me = tuple(x + y for x, y in zip(q, e))
-                cur = work.get(me)
-                if cur is None:
-                    nc = (-c * gc) % p
-                    if nc:
-                        work[me] = nc
-                        push(heap, (negkey(me), me))
-                else:
-                    nc = (cur - c * gc) % p
-                    if nc:
-                        work[me] = nc
-                    else:
-                        del work[me]
-        return quots, rem
 
 
 def _make_reducer(divisors: Sequence[Poly], order: MonomialOrder) -> _Reducer:
@@ -503,7 +425,7 @@ def _buchberger(polys: Sequence[Poly], order: MonomialOrder, use_criterion: bool
         return []
     ring = G[0].ring
     red = _make_reducer(G, order)
-    lms = list(red.slow_lms)
+    lms = [g.leading_monomial(order) for g in G]
     pairs: list[tuple[tuple[int, ...], int, int]] = []
     for i, j in combinations(range(len(G)), 2):
         heapq.heappush(pairs, (order.key(exp_lcm(lms[i], lms[j])), i, j))

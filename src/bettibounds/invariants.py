@@ -29,7 +29,6 @@ from .groebner import (
     quotient_dimension,
     quotient_hilbert_function,
     saturation,
-    substitute_linear_form,
 )
 from .linalg import rank_mod_p
 from .polyring import GREVLEX, MonomialOrder, Poly, apply_linear_change, mat_inv_mod

@@ -37,10 +37,3 @@ def rank_mod_p(A, p: int) -> int:
             M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[r, c:])) % p
         r += 1
     return r
-
-
-def nullity_mod_p(A, p: int) -> int:
-    M = np.asarray(A, dtype=np.int64)
-    if M.size == 0:
-        return M.shape[1] if M.ndim == 2 else 0
-    return M.shape[1] - rank_mod_p(M, p)

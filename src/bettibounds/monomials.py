@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .polyring import Exponents, exp_deg, exp_divides, exp_gcd, exp_lcm, exp_sub
+from .polyring import Exponents, exp_divides, exp_gcd, exp_lcm, exp_sub
 
 
 def minimalize(gens: Iterable[Exponents]) -> tuple[Exponents, ...]:
@@ -62,30 +62,6 @@ def saturate_irrelevant(gens: Sequence[Exponents], nvars: int) -> tuple[Exponent
     for t in range(1, nvars):
         out = intersect(out, saturate_by_variable(gens, t))
     return minimalize(out)
-
-
-def std_monomials(gens: Sequence[Exponents], nvars: int, dmax: int) -> list[list[Exponents]]:
-    """Standard monomials (those outside the ideal), listed degree by degree.
-
-    Returns a list of length dmax+1; entry d is the sorted basis of the
-    degree-d piece of the quotient.  Built incrementally: every standard
-    monomial of degree d+1 is x_t times a standard one of degree d.
-    """
-    gens = minimalize(gens)
-    out: list[list[Exponents]] = []
-    zero = (0,) * nvars
-    cur = [] if member(zero, gens) else [zero]
-    out.append(cur)
-    for _ in range(dmax):
-        nxt = set()
-        for e in cur:
-            for t in range(nvars):
-                m = e[:t] + (e[t] + 1,) + e[t + 1:]
-                if m not in nxt and not member(m, gens):
-                    nxt.add(m)
-        cur = sorted(nxt)
-        out.append(cur)
-    return out
 
 
 def quotient_dimension(gens: Sequence[Exponents], nvars: int) -> int:

@@ -10,7 +10,7 @@ returns a fresh object, so they can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 

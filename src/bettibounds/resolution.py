@@ -18,23 +18,22 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import monomials
 from .groebner import (
-    GBasis,
     Ideal,
     QuotientBasis,
     form_regularity_with_image,
     hilbert_numerator_of,
     initial_exponents,
-    reduced_gb,
+    quotient_dimension,
     truncated_initial_generators,
 )
 from .linalg import rank_mod_p
-from .polyring import GREVLEX, Exponents, Poly, PolyRing, exp_deg, exp_divides, exp_lcm, exp_sub
+from .polyring import GREVLEX, Exponents, Poly, exp_deg, exp_lcm, exp_sub
 
 
 class IncompleteTableError(RuntimeError):
@@ -397,14 +396,15 @@ def _regular_reduce(I: Ideal, seed: int, max_cuts: int | None = None) -> tuple[I
     leaves every graded Betti number unchanged; the count returned is a lower
     bound for depth(S/I) that is sharp with overwhelming probability.  Three
     failed certificates in a row signal exhausted depth (each certificate is
-    exact; a random non-generic draw has probability O(deg/p)).
+    exact; a random non-generic draw has probability O(deg/p)).  A nonzero
+    Artinian quotient has depth 0, so the cutting stops there without a draw.
     """
     import random
 
     rng = random.Random(0x5EC71 ^ seed)
     cur = I
     cuts = 0
-    while cur.ring.nvars > 1 and (max_cuts is None or cuts < max_cuts):
+    while cur.ring.nvars > 1 and (max_cuts is None or cuts < max_cuts) and quotient_dimension(cur) > 0:
         found = False
         for _ in range(3):
             coeffs = [rng.randrange(cur.ring.char) for _ in range(cur.ring.nvars)]

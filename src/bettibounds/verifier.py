@@ -25,10 +25,8 @@ if hasattr(sys, "set_int_max_str_digits"):
 from . import monomials
 from .groebner import (
     Ideal,
-    groebner_basis,
     initial_exponents,
     quotient_dimension,
-    reduced_gb,
     truncated_initial_generators,
 )
 from .invariants import (
@@ -37,10 +35,9 @@ from .invariants import (
     find_regular_form,
     frac_reg,
     generic_section,
-    socle_degrees,
 )
 from .polyring import GREVLEX, LEX, MonomialOrder, Poly, PolyRing
-from .resolution import BettiTable, koszul_betti, minimize_taylor, monomial_betti, taylor_complex
+from .resolution import BettiTable, koszul_betti, monomial_betti
 
 PASS = "pass"
 FAIL = "fail"
@@ -227,10 +224,9 @@ def _betti_witness(table: BettiTable) -> list[list[int]]:
 class CheckContext:
     """Caches the expensive invariants of one ideal across several checks."""
 
-    def __init__(self, I: Ideal, seed: int = 0, faithful: bool = False, instance: str = "adhoc"):
+    def __init__(self, I: Ideal, seed: int = 0, instance: str = "adhoc"):
         self.ideal = I
         self.seed = seed
-        self.faithful = faithful
         self.instance = instance
         self._table: BettiTable | None = None
         self._initial: dict[str, tuple] = {}
@@ -907,36 +903,40 @@ def generate_instance(spec: InstanceSpec) -> tuple[Ideal, dict]:
 # suites and the corpus runner
 # ---------------------------------------------------------------------------
 
+# The suite, in report order: check name -> the reports that check adds for
+# one ideal, given its context, its file metadata and the r values of the
+# syzygy-fraction sweep.  Each entry calls its check through the module-level
+# name, so a wrapper installed on ``verifier.check_<name>`` sees every call.
+CHECKS: dict[str, Callable[[CheckContext, dict, Sequence[int]], list[BoundReport]]] = {
+    "thm_lc": lambda c, meta, rs: [check_thm_lc(c.ideal, c)],
+    "thm_prime": lambda c, meta, rs: [
+        check_thm_prime(c.ideal, h=meta.get("height"), user_asserts_unmixed_radical=True, ctx=c)
+    ] if meta.get("unmixed_radical") else [],
+    "coroll_reg": lambda c, meta, rs: [check_coroll_reg(c.ideal, c)],
+    "coroll_pd_reg": lambda c, meta, rs: [check_coroll_pd_reg(c.ideal, c)],
+    "thm_syz": lambda c, meta, rs: [check_thm_syz(c.ideal, seed=c.seed, ctx=c)],
+    "coroll_syz_reg": lambda c, meta, rs: [check_coroll_syz_reg(c.ideal, seed=c.seed, ctx=c)],
+    "thm_jason": lambda c, meta, rs: check_thm_jason(c.ideal, rs, c),
+    "lemma_reduction": lambda c, meta, rs: [check_lemma_reduction(c.ideal, seed=c.seed, ctx=c)],
+    "remark_deg": lambda c, meta, rs: [
+        check_remark_deg(c.ideal, delta, order, c)
+        for delta, order in ((2, GREVLEX), (3, GREVLEX)) + (((2, LEX),) if _lex_is_cheap(c.ideal) else ())
+    ],
+    "semicontinuity_and_taylor": lambda c, meta, rs: [check_semicontinuity_and_taylor(c.ideal, c)],
+    "mccullough": lambda c, meta, rs: [check_mccullough(c.ideal, c)],
+}
+
+
 def run_all_checks(
     I: Ideal,
     seed: int = 0,
     instance: str = "adhoc",
     meta: dict | None = None,
     r_values: Sequence[int] = (1, 2, 3, 4),
-    deltas: Sequence[int] = (2, 3),
-    include_mccullough: bool = True,
 ) -> list[BoundReport]:
-    """Every applicable check on one ideal, in a fixed order."""
-    meta = meta or {}
+    """Every applicable check on one ideal, in the order of ``CHECKS``."""
     ctx = CheckContext(I, seed=seed, instance=instance)
-    reports: list[BoundReport] = []
-    reports.append(check_thm_lc(I, ctx))
-    if meta.get("unmixed_radical"):
-        reports.append(check_thm_prime(I, h=meta.get("height"), user_asserts_unmixed_radical=True, ctx=ctx))
-    reports.append(check_coroll_reg(I, ctx))
-    reports.append(check_coroll_pd_reg(I, ctx))
-    reports.append(check_thm_syz(I, seed=seed, ctx=ctx))
-    reports.append(check_coroll_syz_reg(I, seed=seed, ctx=ctx))
-    reports.extend(check_thm_jason(I, r_values, ctx))
-    reports.append(check_lemma_reduction(I, seed=seed, ctx=ctx))
-    for delta in deltas:
-        reports.append(check_remark_deg(I, delta, GREVLEX, ctx))
-    if _lex_is_cheap(I):
-        reports.append(check_remark_deg(I, 2, LEX, ctx))
-    reports.append(check_semicontinuity_and_taylor(I, ctx))
-    if include_mccullough:
-        reports.append(check_mccullough(I, ctx))
-    return reports
+    return [r for run in CHECKS.values() for r in run(ctx, meta or {}, r_values)]
 
 
 def corpus_specs(

@@ -312,3 +312,24 @@ def test_lex_order_gb():
     I = Ideal(R2, [X * Y + Y * Y + X * X])
     gb = groebner_basis(I, LEX)
     assert gb.elements[0].leading_monomial(LEX) == (2, 0)
+
+
+# ---------------------------------------------------------------------------
+# inputs the packed reducer refuses
+# ---------------------------------------------------------------------------
+
+def test_exponent_beyond_packed_range_is_refused():
+    (x,) = PolyRing(1, 32003, ("x",)).variables()
+    I = Ideal(x.ring, [x ** 8191])
+    assert len(groebner_basis(I)) == 1
+    with pytest.raises(ValueError, match=r"2\^13"):
+        groebner_basis(Ideal(x.ring, [x ** 8192]))
+
+
+def test_order_without_packed_key_is_refused():
+    from bettibounds.polyring import MonomialOrder
+
+    deglex = MonomialOrder("deglex", lambda e: (sum(e),) + tuple(e))
+    x, y, z = R3.variables()
+    with pytest.raises(ValueError, match="no packed key"):
+        groebner_basis(Ideal(R3, [x * y - z * z, y * y]), deglex)

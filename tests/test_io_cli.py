@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from bettibounds import verifier
 from bettibounds.cli import main
 from bettibounds.groebner import Ideal
 from bettibounds.ideal_io import ParseError, format_ideal, parse_ideal
 from bettibounds.polyring import Poly, PolyRing
+from bettibounds.verifier import CHECKS
 
 
 def test_parse_basic():
@@ -155,3 +157,97 @@ def test_cli_r_sweep_validation(tmp_path):
     path = _write(tmp_path)
     with pytest.raises(SystemExit):
         main(["--r-sweep", "0,-1", "check", path, "--all"])
+
+
+def test_cli_gb_order_and_faithful_belong_to_gb(tmp_path, capsys):
+    path = _write(tmp_path, "ring 2 32003 x y\nx^2 + y^2\nx*y\n")
+    assert main(["gb", path, "--order", "lex", "--faithful"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 3
+    for argv in (["check", path, "--all", "--faithful"], ["--faithful", "gb", path],
+                 ["check", path, "--all", "--order", "lex"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_cli_gb_exponent_out_of_range_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "ring 1 32003 x\nx^8192\n")
+    assert main(["gb", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2^13" in err
+
+
+def test_cli_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verifier, "check_thm_lc", boom)
+    path = _write(tmp_path)
+    assert main(["check", path, "--name", "thm_lc"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: RuntimeError: boom\n") and "Traceback" in err
+    assert main(["check", path, "--all"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# the check registry: --name X prints exactly what entry X adds to --all
+# ---------------------------------------------------------------------------
+
+PARITY_IDEALS = {
+    # a path edge ideal, asserted unmixed radical so that thm_prime runs
+    "edge": "ring 4 32003 a b c d\n! unmixed_radical true\na*b\nb*c\nc*d\n",
+    # small enough for the lex remark_deg report
+    "dense3": "ring 3 32003 x y z\nx^2 + y*z\ny^2 + 3*x*z\n",
+}
+
+
+@pytest.fixture(scope="module")
+def registry_runs(tmp_path_factory):
+    """For each parity ideal: the --all lines and the --name lines of every
+    registry entry, in registry order."""
+    tmp = tmp_path_factory.mktemp("registry")
+    runs = {}
+    for label, text in PARITY_IDEALS.items():
+        path = tmp / f"{label}.ideal"
+        path.write_text(text, encoding="utf-8")
+
+        def lines(*args):
+            out = tmp / "out.jsonl"
+            main(["--seed", "5", "--out", str(out), "check", str(path), *args])
+            return out.read_text(encoding="utf-8").splitlines()
+
+        runs[label] = (lines("--all"), {name: lines("--name", name) for name in CHECKS})
+    return runs
+
+
+@pytest.mark.parametrize("label", sorted(PARITY_IDEALS))
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_cli_check_name_is_its_share_of_all(registry_runs, label, name):
+    all_lines, by_name = registry_runs[label]
+    names = list(CHECKS)
+    start = sum(len(by_name[n]) for n in names[:names.index(name)])
+    assert by_name[name] == all_lines[start:start + len(by_name[name])]
+    assert sum(len(v) for v in by_name.values()) == len(all_lines)
+
+
+def test_cli_registry_covers_hypotheses_and_lex(registry_runs):
+    edge_all, edge = registry_runs["edge"]
+    dense_all, dense = registry_runs["dense3"]
+    assert [json.loads(l)["check"] for l in edge["thm_prime"]] == ["thm_prime"]
+    assert dense["thm_prime"] == []
+    assert [json.loads(l)["params"]["order"] for l in dense["remark_deg"]] == ["grevlex", "grevlex", "lex"]
+    assert [json.loads(l)["check"] for l in edge["mccullough"]] == ["mccullough"]
+    assert json.loads(edge_all[-1])["check"] == json.loads(dense_all[-1])["check"] == "mccullough"
+
+
+def test_cli_check_name_mccullough(tmp_path, capsys):
+    path = _write(tmp_path)
+    assert main(["check", path, "--name", "mccullough"]) == 0
+    assert json.loads(capsys.readouterr().out)["check"] == "mccullough"
+
+
+def test_cli_thm_prime_without_hypothesis_exits_2(tmp_path, capsys):
+    path = _write(tmp_path)
+    assert main(["check", path, "--name", "thm_prime"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: thm_prime does not apply")

@@ -232,3 +232,18 @@ def test_format_betti_smoke():
     B = koszul_betti(Ideal(R2, [X * X, Y * Y]))
     out = format_betti(B)
     assert "j-i" in out and "1" in out
+
+
+def test_regular_reduce_draws_nothing_on_an_artinian_quotient(monkeypatch):
+    from bettibounds import groebner
+    from bettibounds.groebner import quotient_dimension
+
+    x, y, z = R3.variables()
+    I = Ideal(R3, [x * x + y * z, y * y + x * z, z * z + x * y])
+    assert quotient_dimension(I) == 0
+    calls = []
+    real = groebner.substitute_linear_form
+    monkeypatch.setattr(groebner, "substitute_linear_form", lambda *a: calls.append(1) or real(*a))
+    table = koszul_betti(I, seed=3)
+    assert calls == []
+    assert table.entries == {(0, 0): 1, (1, 2): 3, (2, 4): 3, (3, 6): 1}
