@@ -13,6 +13,7 @@ interreduction to the unique reduced basis.
 from __future__ import annotations
 
 import heapq
+import random
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -523,29 +524,17 @@ def homogeneous_component_dim(I: Ideal, d: int) -> int:
 
     Independent of any Groebner computation; used as a cross-check oracle.
     """
-    from math import comb
-
     ring = I.ring
     rows = []
     mono_index: dict[Exponents, int] = {}
-
-    def monos_of_degree(n, deg):
-        # all exponent vectors of total degree deg
-        if n == 1:
-            yield (deg,)
-            return
-        for first in range(deg + 1):
-            for rest in monos_of_degree(n - 1, deg - first):
-                yield (first,) + rest
-
-    all_monos = list(monos_of_degree(ring.nvars, d))
+    all_monos = list(monomials.of_degree(ring.nvars, d))
     for idx, m in enumerate(all_monos):
         mono_index[m] = idx
     for g in I.gens:
         gd = g.degree()
         if gd > d:
             continue
-        for m in monos_of_degree(ring.nvars, d - gd):
+        for m in monomials.of_degree(ring.nvars, d - gd):
             row = [0] * len(all_monos)
             for e, c in g.terms.items():
                 row[mono_index[tuple(x + y for x, y in zip(e, m))]] = c
@@ -596,21 +585,16 @@ def substitute_linear_form(I: Ideal, ell: Poly) -> Ideal:
     return Ideal(small, new_gens)
 
 
-def form_regularity(I: Ideal, ell: Poly) -> tuple[bool, bool]:
-    """(regular, filter_regular) verdicts for a linear form on S/I.
+def form_regularity_with_image(I: Ideal, ell: Poly) -> tuple[bool, bool, Ideal | None]:
+    """(regular, filter_regular, image) for a linear form on S/I.
 
     Certified through Hilbert series numerators: with K the numerator of S/I
     over N variables and K' the numerator of S/(I + ell) over N-1 variables,
     ell is regular iff K' == K, and filter regular iff K' - K is divisible by
-    (1-z)^(N-1), i.e. the annihilator of ell has finite length.
+    (1-z)^(N-1), i.e. the annihilator of ell has finite length.  ``image`` is
+    the substituted ideal of ``substitute_linear_form`` (None when N = 1), so
+    callers that accept the form can keep its cached staircase data.
     """
-    regular, filter_regular, _ = form_regularity_with_image(I, ell)
-    return regular, filter_regular
-
-
-def form_regularity_with_image(I: Ideal, ell: Poly) -> tuple[bool, bool, Ideal | None]:
-    """As ``form_regularity`` but also hands back the substituted ideal, so
-    callers that accept the form can keep its cached staircase data."""
     ring = I.ring
     if ell.is_zero or ell.degree() != 1:
         raise ValueError("need a nonzero linear form")
@@ -644,6 +628,28 @@ def form_regularity_with_image(I: Ideal, ell: Poly) -> tuple[bool, bool, Ideal |
                 out[d] = acc
         diff = out
     return False, True, J
+
+
+def draw_certified_form(
+    I: Ideal, rng: random.Random, tries: int, need_regular: bool
+) -> tuple[list[int], bool, Ideal | None] | None:
+    """Draw random linear forms on S/I until one passes its certificate.
+
+    Each of ``tries`` draws takes one coefficient per variable from ``rng``
+    (an all-zero draw is spent without a test) and is certified by
+    ``form_regularity_with_image``.  The first form that is regular, or
+    filter regular when ``need_regular`` is false, is returned as
+    ``(coeffs, regular, image)``; None when every draw failed.
+    """
+    ring = I.ring
+    for _ in range(tries):
+        coeffs = [rng.randrange(ring.char) for _ in range(ring.nvars)]
+        if not any(coeffs):
+            continue
+        regular, filter_regular, image = form_regularity_with_image(I, ring.linear_form(coeffs))
+        if regular or (filter_regular and not need_regular):
+            return coeffs, regular, image
+    return None
 
 
 # ---------------------------------------------------------------------------

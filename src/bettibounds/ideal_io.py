@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .groebner import Ideal
-from .polyring import GREVLEX, Poly, PolyRing, format_poly, is_prime
+from .polyring import GREVLEX, MAX_CHAR, Poly, PolyRing, format_poly, is_prime
 
 
 class ParseError(ValueError):
@@ -125,6 +125,8 @@ def parse_ideal(text: str) -> tuple[Ideal, dict]:
         nvars, prime = int(parts[1]), int(parts[2])
     except ValueError:
         raise ParseError("N and p must be integers", header_line + 1)
+    if prime >= MAX_CHAR:
+        raise ParseError(f"characteristic {prime} is not below 2^31", header_line + 1)
     if not is_prime(prime) or prime <= 2:
         raise ParseError(f"{prime} is not an odd prime", header_line + 1)
     names = tuple(parts[3:]) if len(parts) > 3 else ()

@@ -19,7 +19,7 @@ from .groebner import (
     Ideal,
     QuotientBasis,
     contains_ideal,
-    form_regularity,
+    draw_certified_form,
     form_regularity_with_image,
     ideal_quotient,
     ideal_quotient_ideal,
@@ -145,7 +145,7 @@ def filter_regular_test(ell: Poly, I: Ideal, method: str = "hilbert") -> FilterV
     if ell.is_zero or ell.degree() != 1:
         raise ValueError("need a nonzero linear form")
     if method == "hilbert":
-        regular, filt = form_regularity(I, ell)
+        regular, filt, _ = form_regularity_with_image(I, ell)
         return FilterVerdict(filter_regular=filt, regular=regular)
     if method != "colon":
         raise ValueError(f"unknown method {method!r}")
@@ -190,17 +190,10 @@ def generic_section(I: Ideal, count: int, seed: int = 0) -> SectionResult:
     surviving = list(range(ring.nvars))
     absorbed = 0
     for _ in range(count):
-        sring = small.ring
-        for attempt in range(RETRY_BUDGET):
-            coeffs = [rng.randrange(ring.char) for _ in range(sring.nvars)]
-            if not any(coeffs):
-                continue
-            ell_small = sring.linear_form(coeffs)
-            regular, filt, image = form_regularity_with_image(small, ell_small)
-            if filt:
-                break
-        else:
+        drawn = draw_certified_form(small, rng, RETRY_BUDGET, need_regular=False)
+        if drawn is None:
             raise GenericityError("no filter-regular linear form found within the retry budget")
+        coeffs, regular, image = drawn
         big_coeffs = [0] * ring.nvars
         for idx, cc in zip(surviving, coeffs):
             big_coeffs[idx] = cc
@@ -214,39 +207,19 @@ def generic_section(I: Ideal, count: int, seed: int = 0) -> SectionResult:
             surviving.pop(k)
             absorbed += 1
         else:
-            small = Ideal(sring, list(small.gens) + [ell_small])
+            small = Ideal(small.ring, list(small.gens) + [small.ring.linear_form(coeffs)])
     return SectionResult(ideal=big, forms=forms, regular_flags=flags, substituted=small, absorbed=absorbed)
 
 
-def find_regular_form(I: Ideal, seed: int = 0) -> Poly | None:
-    """A verified-regular random linear form on S/I, or None if none is found."""
-    ring = I.ring
+def find_regular_form(I: Ideal, seed: int = 0) -> tuple[Poly, Ideal | None] | None:
+    """A verified-regular random linear form on S/I and the image of I in
+    S/(form) (see ``substitute_linear_form``), or None if none is found."""
     rng = random.Random(0x4E6 ^ (seed * 2654435761 % 2**31))
-    for _ in range(RETRY_BUDGET):
-        coeffs = [rng.randrange(ring.char) for _ in range(ring.nvars)]
-        if not any(coeffs):
-            continue
-        ell = ring.linear_form(coeffs)
-        if filter_regular_test(ell, I).regular:
-            return ell
-    return None
-
-
-def regular_sequence_length(I: Ideal, seed: int = 0) -> int:
-    """Length of a maximal verified-regular sequence of random linear forms.
-
-    A certified lower bound for depth(S/I), sharp with high probability.
-    """
-    length = 0
-    cur = I
-    ring = I.ring
-    while length < ring.nvars:
-        ell = find_regular_form(cur, seed=seed + 31 * length)
-        if ell is None:
-            break
-        cur = Ideal(ring, list(cur.gens) + [ell])
-        length += 1
-    return length
+    drawn = draw_certified_form(I, rng, RETRY_BUDGET, need_regular=True)
+    if drawn is None:
+        return None
+    coeffs, _, image = drawn
+    return I.ring.linear_form(coeffs), image
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Dense exact linear algebra over F_p, numpy-backed.
 
-Entries stay below p < 2^15, so int64 products never overflow during a
-single elimination step.
+Entries stay below p < 2^31 (``polyring.MAX_CHAR``), so p^2 < 2^63 and int64
+products never overflow during a single elimination step.
 """
 
 from __future__ import annotations

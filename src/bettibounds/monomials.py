@@ -9,7 +9,7 @@ and saturation fast paths.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .polyring import Exponents, exp_divides, exp_gcd, exp_lcm, exp_sub
 
@@ -27,6 +27,16 @@ def minimalize(gens: Iterable[Exponents]) -> tuple[Exponents, ...]:
 def member(e: Exponents, gens: Sequence[Exponents]) -> bool:
     """Is x^e in the ideal generated by gens?"""
     return any(exp_divides(g, e) for g in gens)
+
+
+def of_degree(nvars: int, d: int) -> Iterator[Exponents]:
+    """All exponent vectors of total degree d, in lex order from (0, ..., 0, d)."""
+    if nvars == 1:
+        yield (d,)
+        return
+    for first in range(d + 1):
+        for rest in of_degree(nvars - 1, d - first):
+            yield (first,) + rest
 
 
 def colon_by_monomial(gens: Sequence[Exponents], u: Exponents) -> tuple[Exponents, ...]:

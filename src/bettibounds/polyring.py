@@ -14,6 +14,10 @@ from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
+# exclusive bound on the characteristic: rank_mod_p eliminates in int64, which
+# needs p^2 < 2^63; it also keeps trial division in is_prime near a millisecond
+MAX_CHAR = 2**31
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -125,6 +129,8 @@ class PolyRing:
     def __post_init__(self):
         if self.nvars < 1:
             raise ValueError("need at least one variable")
+        if self.char >= MAX_CHAR:
+            raise ValueError(f"characteristic must be below 2^31, got {self.char}")
         if self.char <= 2 or not is_prime(self.char):
             raise ValueError(f"characteristic must be an odd prime, got {self.char}")
         if not self.names:

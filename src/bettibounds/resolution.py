@@ -16,6 +16,7 @@ Two independent algorithms are kept side by side and used as mutual oracles:
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from math import comb
 from typing import Sequence
@@ -26,7 +27,7 @@ from . import monomials
 from .groebner import (
     Ideal,
     QuotientBasis,
-    form_regularity_with_image,
+    draw_certified_form,
     hilbert_numerator_of,
     initial_exponents,
     quotient_dimension,
@@ -385,6 +386,22 @@ def _validate_euler(B: BettiTable, numerator: dict[int, int]) -> None:
             )
 
 
+def lift_section_table(B: BettiTable, forms: int, nvars: int) -> BettiTable:
+    """The table over S of a module whose table over S/(l_1, ..., l_r) is B.
+
+    Exact for any r = ``forms`` linearly independent linear forms, regular on
+    the module or not: the minimal resolution over the small ring tensored
+    with the Koszul complex on the forms stays minimal, so
+    beta^S_{i,j} = sum_b C(r, b) * beta_{i-b, j-b}.  A partial B gives a
+    table partial at the same homological index.
+    """
+    entries: dict[tuple[int, int], int] = {}
+    for (i, j), v in B.entries.items():
+        for b in range(forms + 1):
+            entries[(i + b, j + b)] = entries.get((i + b, j + b), 0) + comb(forms, b) * v
+    return BettiTable(entries, nvars, complete_to=B.complete_to)
+
+
 # ---------------------------------------------------------------------------
 # Koszul homology, general homogeneous ideals
 # ---------------------------------------------------------------------------
@@ -399,26 +416,15 @@ def _regular_reduce(I: Ideal, seed: int, max_cuts: int | None = None) -> tuple[I
     exact; a random non-generic draw has probability O(deg/p)).  A nonzero
     Artinian quotient has depth 0, so the cutting stops there without a draw.
     """
-    import random
-
     rng = random.Random(0x5EC71 ^ seed)
     cur = I
     cuts = 0
     while cur.ring.nvars > 1 and (max_cuts is None or cuts < max_cuts) and quotient_dimension(cur) > 0:
-        found = False
-        for _ in range(3):
-            coeffs = [rng.randrange(cur.ring.char) for _ in range(cur.ring.nvars)]
-            if not any(coeffs):
-                continue
-            ell = cur.ring.linear_form(coeffs)
-            regular, _, image = form_regularity_with_image(cur, ell)
-            if regular and image is not None:
-                cur = image
-                cuts += 1
-                found = True
-                break
-        if not found:
+        drawn = draw_certified_form(cur, rng, 3, need_regular=True)
+        if drawn is None:
             break
+        cur = drawn[2]
+        cuts += 1
     return cur, cuts
 
 

@@ -37,7 +37,7 @@ from .invariants import (
     generic_section,
 )
 from .polyring import GREVLEX, LEX, MonomialOrder, Poly, PolyRing
-from .resolution import BettiTable, koszul_betti, monomial_betti
+from .resolution import BettiTable, koszul_betti, lift_section_table, monomial_betti
 
 PASS = "pass"
 FAIL = "fail"
@@ -407,10 +407,8 @@ def _syz_gamma(I: Ideal, c: CheckContext, seed: int) -> tuple[int | None, int, d
     """(C, gamma, witness) for one seed of the hyperplane-section check.
 
     C = t_2 of S/(I + section forms) over S.  The table is computed in the
-    substituted ring and converted back through the exact identity
-    beta^S_{i,j}(M) = sum_b C(r, b) * beta^(small)_{i-b, j-b}(M) for the r
-    absorbed regular linear forms (the minimal small resolution tensored
-    with the Koszul complex on the forms stays minimal).
+    substituted ring and lifted back over S by ``lift_section_table`` across
+    the absorbed forms.
     """
     cached = c._sections.get(seed)
     if cached is not None:
@@ -419,11 +417,7 @@ def _syz_gamma(I: Ideal, c: CheckContext, seed: int) -> tuple[int | None, int, d
     section = generic_section(I, min(r + 1, I.ring.nvars), seed=seed)
     # the section quotient has depth 0 by construction: skip reduction tries
     table = koszul_betti(section.substituted, max_i=2, reduce_regular=False, seed=seed)
-    C: int | None = None
-    for b in range(0, min(2, section.absorbed) + 1):
-        for (i, j), _v in table.entries.items():
-            if i == 2 - b:
-                C = j + b if C is None else max(C, j + b)
+    C = lift_section_table(table, section.absorbed, I.ring.nvars).t(2)
     D = c.max_gen_degree
     gamma = max(C, D) if C is not None else D
     witness = {
@@ -573,10 +567,12 @@ def check_lemma_reduction(I: Ideal, seed: int = 0, ctx: CheckContext | None = No
     alphas = []
     tables = []
     for k in (0, 1):
-        ell = find_regular_form(I, seed=seed + 977 * k)
-        if ell is None:
+        found = find_regular_form(I, seed=seed + 977 * k)
+        if found is None:
             raise GenericityError("no regular linear form found within the retry budget")
-        table2 = koszul_betti(Ideal(I.ring, list(I.gens) + [ell]), max_cuts=c.depth - 1, seed=seed + k + 1)
+        # S/(I + ell) over S, lifted from the certified image in N - 1 variables
+        small = koszul_betti(found[1], max_cuts=c.depth - 1, seed=seed + k + 1)
+        table2 = lift_section_table(small, 1, I.ring.nvars)
         alphas.append(alpha_of(table2))
         tables.append(table2)
     a1 = c.alpha
@@ -613,7 +609,7 @@ def check_remark_deg(
     trunc_lms = monomials.minimalize(trunc.leading_monomials())
     generates = True
     for d in range(delta + 1):
-        for m in _monomials_of_degree(I.ring.nvars, d):
+        for m in monomials.of_degree(I.ring.nvars, d):
             if monomials.member(m, full_lms) != monomials.member(m, trunc_lms):
                 generates = False
                 break
@@ -634,15 +630,6 @@ def check_remark_deg(
                  "generates_through_delta": generates},
         notes="faithful iterations (no product criterion, no interreduction)",
     )
-
-
-def _monomials_of_degree(n: int, d: int):
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in _monomials_of_degree(n - 1, d - first):
-            yield (first,) + rest
 
 
 def _lex_is_cheap(I: Ideal) -> bool:
@@ -771,7 +758,7 @@ def _random_monomial(rng: random.Random, n: int, d: int) -> tuple[int, ...]:
 def _dense_form(rng: random.Random, ring: PolyRing, d: int) -> Poly:
     while True:
         terms = {}
-        for m in _monomials_of_degree(ring.nvars, d):
+        for m in monomials.of_degree(ring.nvars, d):
             cc = rng.randrange(ring.char)
             if cc:
                 terms[m] = cc

@@ -7,7 +7,7 @@ from bettibounds.groebner import (
     buchberger_iteration,
     contains_poly,
     divide,
-    form_regularity,
+    form_regularity_with_image,
     groebner_basis,
     homogeneous_component_dim,
     ideal_quotient,
@@ -281,11 +281,11 @@ def test_initial_of_colon_is_colon_of_initial_generic():
 def test_substitute_and_regularity():
     # y is regular on S/(x^2); x is not
     I = Ideal(R2, [X * X])
-    assert form_regularity(I, Y) == (True, True)
-    regular, filt = form_regularity(I, X)
+    assert form_regularity_with_image(I, Y)[:2] == (True, True)
+    regular, filt, _ = form_regularity_with_image(I, X)
     assert not regular
     I1 = Ideal(PolyRing(1, 32003), [PolyRing(1, 32003).variable(0) ** 2])
-    assert form_regularity(I1, PolyRing(1, 32003).variable(0))[1] is True
+    assert form_regularity_with_image(I1, PolyRing(1, 32003).variable(0))[1] is True
 
     J = substitute_linear_form(Ideal(R2, [X * X + Y * Y]), Y)
     assert J.ring.nvars == 1

@@ -10,11 +10,10 @@ from bettibounds.invariants import (
     generic_section,
     gin,
     invariant_bundle,
-    regular_sequence_length,
     socle_degrees,
 )
 from bettibounds.polyring import GREVLEX, PolyRing
-from bettibounds.resolution import koszul_betti, minimize_taylor, taylor_complex
+from bettibounds.resolution import _regular_reduce, koszul_betti, minimize_taylor, taylor_complex
 
 R2 = PolyRing(2, 32003, ("x", "y"))
 R3 = PolyRing(3, 32003, ("x", "y", "z"))
@@ -179,4 +178,4 @@ def test_depth_cross_check_regular_sequences():
     for I in cases:
         B = koszul_betti(I)
         depth = I.ring.nvars - B.pd()
-        assert regular_sequence_length(I, seed=2) == depth
+        assert _regular_reduce(I, seed=2)[1] == depth

@@ -153,6 +153,21 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert main(["betti", path]) == 2
 
 
+def test_characteristic_of_2_31_or_more_is_refused_before_primality(tmp_path, monkeypatch, capsys):
+    from bettibounds import ideal_io
+
+    def no_trial_division(n):
+        raise AssertionError("primality tested on an out-of-range characteristic")
+
+    monkeypatch.setattr(ideal_io, "is_prime", no_trial_division)
+    text = "ring 2 1000000000000000003 x y\nx*y\n"
+    with pytest.raises(ParseError, match=r"2\^31"):
+        parse_ideal(text)
+    assert main(["betti", _write(tmp_path, text)]) == 2
+    assert main(["--out", str(tmp_path / "corp"), "--prime", "4294967311", "corpus", "--size", "1"]) == 2
+    assert "2^31" in capsys.readouterr().err
+
+
 def test_cli_r_sweep_validation(tmp_path):
     path = _write(tmp_path)
     with pytest.raises(SystemExit):

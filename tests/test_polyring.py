@@ -29,6 +29,18 @@ def test_ring_validation():
         PolyRing(2, 7, ("x",))
 
 
+def test_characteristic_of_2_31_or_more_is_refused():
+    # rank_mod_p works in int64: at p = 4294967311 the rank-1 matrix
+    # [[p-1, p-2], [p-2, p-4]] came out as rank 2, so such rings are refused
+    from bettibounds.linalg import rank_mod_p
+
+    with pytest.raises(ValueError, match=r"2\^31"):
+        PolyRing(2, 4294967311)
+    p = 2**31 - 1
+    assert PolyRing(2, p).char == p
+    assert rank_mod_p([[p - 1, p - 2], [p - 2, p - 4]], p) == 1
+
+
 def test_compare_grevlex_degree2_tiebreak():
     # x^2 > x*y within degree 2
     assert GREVLEX.compare((2, 0), (1, 1)) == 1

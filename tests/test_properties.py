@@ -21,11 +21,10 @@ from bettibounds.invariants import (
     borel_fixed_test,
     filter_regular_test,
     gin,
-    regular_sequence_length,
     socle_degrees,
 )
 from bettibounds.polyring import GREVLEX, LEX, PolyRing, apply_linear_change, mat_inv_mod
-from bettibounds.resolution import koszul_betti, minimize_taylor, monomial_betti, taylor_complex
+from bettibounds.resolution import _regular_reduce, koszul_betti, minimize_taylor, monomial_betti, taylor_complex
 from bettibounds.verifier import InstanceSpec, generate_instance
 
 FAMILIES = ("random-homogeneous", "random-monomial", "borel", "edge-ideal", "complete-intersection")
@@ -51,7 +50,7 @@ CORPUS = _mini_corpus()
 def test_depth_matches_regular_sequence_length(spec, I, meta):
     B = koszul_betti(I, seed=spec.seed)
     depth = I.ring.nvars - B.pd()
-    assert regular_sequence_length(I, seed=spec.seed) == depth
+    assert _regular_reduce(I, seed=spec.seed)[1] == depth
 
 
 @pytest.mark.parametrize("spec,I,meta", CORPUS, ids=[s.label() for s, _, _ in CORPUS])
@@ -93,8 +92,9 @@ def test_alpha_invariant_under_regular_section():
         B = koszul_betti(I, seed=spec.seed)
         if I.ring.nvars - B.pd() < 1:
             continue
-        ell = find_regular_form(I, seed=spec.seed)
-        assert ell is not None
+        found = find_regular_form(I, seed=spec.seed)
+        assert found is not None
+        ell = found[0]
         J = Ideal(I.ring, list(I.gens) + [ell])
         assert alpha_of(koszul_betti(J, seed=spec.seed)) == alpha_of(B)
 

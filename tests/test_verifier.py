@@ -194,6 +194,21 @@ def test_lemma_reduction_examples():
     assert r.verdict == PASS
 
 
+def test_lemma_reduction_section_table_matches_direct_computation():
+    # the table lifted from the certified image equals S/(I + l) over S
+    from bettibounds.invariants import find_regular_form
+    from bettibounds.resolution import koszul_betti
+
+    for family, n, g, d, seed in [("random-homogeneous", 3, 2, 2, 2100), ("random-homogeneous", 4, 2, 2, 2101),
+                                  ("borel", 4, 2, 3, 2104), ("edge-ideal", 4, 3, 2, 2105)]:
+        I, _ = generate_instance(InstanceSpec(family, n, g, d, seed=seed))
+        r = check_lemma_reduction(I, seed=seed)
+        assert r.params["depth"] in (1, 2)
+        ell, _ = find_regular_form(I, seed=seed)
+        direct = koszul_betti(Ideal(I.ring, list(I.gens) + [ell]), reduce_regular=False)
+        assert r.witness["betti_section"] == [[i, j, v] for (i, j), v in direct.items()]
+
+
 def test_remark_deg_examples():
     r = check_remark_deg(I_M2, 2, GREVLEX)
     assert r.verdict == PASS and r.lhs <= 9
@@ -291,6 +306,19 @@ def test_run_all_checks_passes_and_reports_json():
     for r in reports:
         parsed = json.loads(r.to_json())
         assert parsed["check"] == r.check and parsed["verdict"] == r.verdict
+
+
+def test_run_corpus_reports_are_pinned(tmp_path):
+    # the first 36 specs of the seed-2024 acceptance corpus in about a second:
+    # any drift in a table, a bound, a witness or a verdict changes a digest
+    import hashlib
+
+    jsonl, tsv = tmp_path / "c.jsonl", tmp_path / "c.tsv"
+    run_corpus(36, seed=2024, jsonl_path=str(jsonl), tsv_path=str(tsv))
+    assert hashlib.sha256(jsonl.read_bytes()).hexdigest() == \
+        "f1a34c59a9ed1b066be88ab68fa00e8cd7b5a5909f9fcd8af96816082f9fe235"
+    assert hashlib.sha256(tsv.read_bytes()).hexdigest() == \
+        "0ac0b1db00fc6420b56bf1a8cfe1ec957dc7a5798fb3416ef29dfaaebf0c8748"
 
 
 def test_run_corpus_small_deterministic(tmp_path):
