@@ -4,6 +4,8 @@ Run:  python demos/05_bound_checks.py
 """
 
 import json
+import os
+import tempfile
 
 from bettibounds import Ideal, InstanceSpec, PolyRing, generate_instance, run_all_checks, run_corpus
 from bettibounds.verifier import check_thm_jason, check_thm_lc
@@ -31,9 +33,11 @@ for r in reports:
     verdicts[r.verdict] = verdicts.get(r.verdict, 0) + 1
 print("suite verdicts:", verdicts)
 
-# a small corpus, written as JSON lines plus a TSV summary
-summary = run_corpus(size=12, seed=5, jsonl_path="demo_corpus.jsonl", tsv_path="demo_corpus.tsv")
-print("\ncorpus summary:", json.dumps(summary, sort_keys=True))
-print("first report line:")
-with open("demo_corpus.jsonl", encoding="utf-8") as fh:
-    print(" ", fh.readline().strip()[:160], "...")
+# a small corpus, written as JSON lines plus a TSV summary into a temporary directory
+with tempfile.TemporaryDirectory() as tmp:
+    jsonl = os.path.join(tmp, "demo_corpus.jsonl")
+    summary = run_corpus(size=12, seed=5, jsonl_path=jsonl, tsv_path=os.path.join(tmp, "demo_corpus.tsv"))
+    print("\ncorpus summary:", json.dumps(summary, sort_keys=True))
+    print("first report line:")
+    with open(jsonl, encoding="utf-8") as fh:
+        print(" ", fh.readline().strip()[:160], "...")

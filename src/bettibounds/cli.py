@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="ideal file ('-' for stdin)")
     p.add_argument("--order", choices=("grevlex", "lex"), default="grevlex")
     p.add_argument("--faithful", action="store_true",
-                   help="disable the product criterion, to measure the literal procedure")
+                   help="reduce every S-pair (no Gebauer-Moeller update), to measure the literal procedure")
 
     for name, help_ in (
         ("betti", "print the graded Betti table"),

@@ -5,9 +5,10 @@ Two entry points coexist on purpose.  ``buchberger_iteration`` is the literal
 one-round procedure (all S-pairs of the current list, divide, keep nonzero
 remainders) whose output-size behaviour the verifier measures; it supports a
 degree cap so that a truncated initial ideal can be produced by finitely many
-rounds.  ``groebner_basis`` is the workhorse: a pair-queue Buchberger with
-the product criterion (switchable off for faithful benchmarking) followed by
-interreduction to the unique reduced basis.
+rounds.  ``groebner_basis`` is the workhorse: a pair-queue Buchberger whose
+pairs pass the Gebauer-Moeller update (switchable off, so that every S-pair
+is reduced, for faithful benchmarking) followed by interreduction to the
+unique reduced basis.
 """
 
 from __future__ import annotations
@@ -413,7 +414,26 @@ def _interreduce(G: Sequence[Poly], order: MonomialOrder) -> list[Poly]:
 
 
 def _buchberger(polys: Sequence[Poly], order: MonomialOrder, use_criterion: bool) -> list[Poly]:
-    """Pair-queue Buchberger (normal selection: smallest pair lcm first)."""
+    """Pair-queue Buchberger with the Gebauer-Moeller update.
+
+    Normal selection: the pending pair (i, j) with the smallest lcm by
+    ``order.key`` goes first, ties broken by (i, j).  Each new element h,
+    input or nonzero remainder, passes through the update (Gebauer & Moeller
+    1988; UPDATE in Becker & Weispfenning 1993, section 5.5):
+
+    * a new pair (g, h) whose leading monomials are not coprime is dropped
+      when another new pair, later in the list or already kept, has an lcm
+      dividing its lcm; then the kept new pairs with coprime leading
+      monomials are dropped (product criterion);
+    * a pending pair (a, b) is dropped when lm(h) divides lcm(a, b) and
+      lcm(a, h), lcm(b, h) both differ from it (lazily: it leaves ``live``
+      and is skipped when popped);
+    * every g with lm(h) | lm(g) leaves the active set, so it forms no more
+      pairs; the reducer keeps every element as a divisor.
+
+    With ``use_criterion=False`` the update keeps every pair and every
+    element active: every S-pair is reduced.
+    """
     G: list[Poly] = []
     seen = set()
     for g in polys:
@@ -425,16 +445,37 @@ def _buchberger(polys: Sequence[Poly], order: MonomialOrder, use_criterion: bool
     if not G:
         return []
     ring = G[0].ring
+    zero_exp = (0,) * ring.nvars
     red = _make_reducer(G, order)
     lms = [g.leading_monomial(order) for g in G]
     pairs: list[tuple[tuple[int, ...], int, int]] = []
-    for i, j in combinations(range(len(G)), 2):
-        heapq.heappush(pairs, (order.key(exp_lcm(lms[i], lms[j])), i, j))
+    live: dict[tuple[int, int], Exponents] = {}
+    active: list[int] = []
 
-    zero_exp = (0,) * ring.nvars
+    def update(k: int) -> None:
+        h = lms[k]
+        new = [(t, exp_lcm(lms[t], h)) for t in active]
+        if use_criterion:
+            for (a, b), lcm in list(live.items()):
+                if exp_divides(h, lcm) and exp_lcm(lms[a], h) != lcm and exp_lcm(lms[b], h) != lcm:
+                    del live[(a, b)]
+            kept = []
+            for n, (t, lcm) in enumerate(new):
+                if exp_gcd(lms[t], h) == zero_exp or not any(
+                        exp_divides(other, lcm) for _, other in kept + new[n + 1:]):
+                    kept.append((t, lcm))
+            new = [(t, lcm) for t, lcm in kept if exp_gcd(lms[t], h) != zero_exp]
+            active[:] = [t for t in active if not exp_divides(h, lms[t])]
+        for t, lcm in new:
+            live[(t, k)] = lcm
+            heapq.heappush(pairs, (order.key(lcm), t, k))
+        active.append(k)
+
+    for k in range(len(G)):
+        update(k)
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        if use_criterion and exp_gcd(lms[i], lms[j]) == zero_exp:
+        if live.pop((i, j), None) is None:
             continue
         s = s_polynomial(G[i], G[j], order)
         if s.is_zero:
@@ -446,9 +487,7 @@ def _buchberger(polys: Sequence[Poly], order: MonomialOrder, use_criterion: bool
         G.append(r)
         red.add_divisor(r)
         lms.append(r.leading_monomial(order))
-        k = len(G) - 1
-        for t in range(k):
-            heapq.heappush(pairs, (order.key(exp_lcm(lms[t], lms[k])), t, k))
+        update(len(G) - 1)
     return _interreduce(G, order)
 
 

@@ -1,9 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bettibounds import groebner
 from bettibounds.groebner import (
     Ideal,
+    _buchberger,
+    _elim_order,
+    _lift,
     buchberger_iteration,
     contains_poly,
     divide,
@@ -24,7 +30,8 @@ from bettibounds.groebner import (
     substitute_linear_form,
     truncated_initial_generators,
 )
-from bettibounds.polyring import GREVLEX, LEX, PolyRing, apply_linear_change, mat_inv_mod
+from bettibounds.polyring import GREVLEX, LEX, Poly, PolyRing, apply_linear_change, mat_inv_mod
+from bettibounds.verifier import InstanceSpec, generate_instance
 
 R2 = PolyRing(2, 32003, ("x", "y"))
 R3 = PolyRing(3, 32003, ("x", "y", "z"))
@@ -175,6 +182,59 @@ def test_groebner_basis_examples():
     # criterion off gives the same reduced basis
     gb2 = groebner_basis(I, use_criterion=False)
     assert gb.elements == gb2.elements
+
+
+@st.composite
+def _homogeneous_polys(draw, ring):
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, 3))
+        monos = list(_monos(ring.nvars, d))
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        coeffs = draw(st.lists(st.integers(1, ring.char - 1), min_size=len(support), max_size=len(support)))
+        polys.append(Poly(ring, dict(zip(support, coeffs))))
+    return polys
+
+
+R3_SMALL = PolyRing(3, 101, ("x", "y", "z"))
+R4_SMALL = PolyRing(4, 101, ("t", "x", "y", "z"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gebauer_moeller_update_keeps_reduced_basis(data):
+    # the update drops pairs only; the reduced basis equals the one from every S-pair
+    polys = data.draw(_homogeneous_polys(R3_SMALL))
+    for order in (GREVLEX, LEX):
+        assert _buchberger(polys, order, True) == _buchberger(polys, order, False)
+    # ideal_intersection's input and order: t*I + (1 - t)*J in elim+grevlex
+    split = data.draw(st.integers(0, len(polys)))
+    one_minus_t = Poly(R4_SMALL, {(0, 0, 0, 0): 1, (1, 0, 0, 0): -1})
+    lifted = [_lift(f, R4_SMALL, 1) for f in polys[:split]]
+    lifted += [one_minus_t * _lift(g, R4_SMALL, 0) for g in polys[split:]]
+    elim = _elim_order(GREVLEX)
+    assert _buchberger(lifted, elim, True) == _buchberger(lifted, elim, False)
+
+
+@pytest.mark.parametrize("spec,reductions,size", [
+    (InstanceSpec("random-homogeneous", 6, 5, 3, seed=2024006197), 268, 76),
+    (InstanceSpec("complete-intersection", 5, 5, 4, seed=2024006550), 126, 47),
+    (InstanceSpec("complete-intersection", 6, 6, 3, seed=2024006449), 75, 29),
+], ids=lambda v: v.label() if isinstance(v, InstanceSpec) else None)
+def test_groebner_basis_s_polynomial_count_is_pinned(spec, reductions, size, monkeypatch):
+    # instances of the seed-2024 corpus; the product criterion alone forms
+    # 2,652, 1,076 and 391 S-polynomials for the same bases
+    I, _ = generate_instance(spec)
+    calls = []
+    orig = groebner.s_polynomial
+
+    def counting(f, g, order=GREVLEX):
+        calls.append(1)
+        return orig(f, g, order)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counting)
+    assert len(groebner_basis(I)) == size
+    assert len(calls) == reductions
 
 
 def test_groebner_fixpoint_oracle():

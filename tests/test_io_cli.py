@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import bettibounds
 from bettibounds import verifier
 from bettibounds.cli import main
 from bettibounds.groebner import Ideal
@@ -102,6 +106,17 @@ def test_cli_gb(tmp_path, capsys):
     assert main(["gb", path]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 3  # three monic elements
+
+
+def test_cli_runs_as_python_module(tmp_path, capsys):
+    path = _write(tmp_path, "ring 2 32003 x y\nx^2 + y^2\nx*y\n")
+    assert main(["gb", path]) == 0
+    src = os.path.dirname(os.path.dirname(bettibounds.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "bettibounds", "gb", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_cli_betti(tmp_path, capsys):
