@@ -2,7 +2,8 @@
 
 Subcommands: gb, betti, invariants, check, corpus.  Exit codes: 0 when no
 check failed, 1 when a check failed, 2 for bad input (unreadable file, parse
-error, out-of-range value), 3 for any other error, with its traceback.
+error, out-of-range value), 3 for any other error, with its traceback, and
+for a corpus in which some instance raised (its report has verdict "error").
 """
 
 from __future__ import annotations
@@ -112,6 +113,8 @@ def _run(args, out) -> int:
         prime=args.prime,
     )
     print(json.dumps(summary, sort_keys=True))
+    if summary["error"]:
+        return 3
     return 1 if summary["fail"] else 0
 
 

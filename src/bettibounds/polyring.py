@@ -10,6 +10,7 @@ returns a fresh object, so they can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, sub
 from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -41,25 +42,25 @@ def exp_deg(e: Exponents) -> int:
 
 
 def exp_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a: Exponents, b: Exponents) -> Exponents:
     """a / b as exponent vectors; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_divides(a: Exponents, b: Exponents) -> bool:
     """True when the monomial with exponents a divides the one with b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exp_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exp_gcd(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 # ---------------------------------------------------------------------------

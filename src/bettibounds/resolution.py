@@ -34,7 +34,7 @@ from .groebner import (
     truncated_initial_generators,
 )
 from .linalg import rank_mod_p
-from .polyring import GREVLEX, Exponents, Poly, exp_deg, exp_lcm, exp_sub
+from .polyring import GREVLEX, Exponents, Poly, exp_deg, exp_divides, exp_lcm, exp_sub
 
 
 class IncompleteTableError(RuntimeError):
@@ -320,6 +320,14 @@ def monomial_betti(gens: Sequence[Exponents], nvars: int, char: int) -> BettiTab
     of generator subsets.  In such a multidegree a the strand of the Koszul
     complex has one basis element per subset L of the support of a for which
     x^(a - e_L) lies outside J; its homology is computed by two small ranks.
+
+    Membership is read off the upper Koszul simplicial complex
+    K^a(J) = {L subset of supp(a) : x^(a - e_L) in J} (Miller & Sturmfels,
+    Combinatorial Commutative Algebra, 2005, Thm 1.34): a generator g | x^a
+    divides x^(a - e_L) exactly when L misses its tight set
+    T_g = {t : g_t = a_t}.  So one divisibility pass over the generators per
+    lcm gives a bitmask of T_g for each divisor g, and x^(a - e_L) is in J
+    exactly when L misses one of them.  Any exponents work, not only 0 and 1.
     """
     gens = monomials.minimalize(gens)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
@@ -331,14 +339,14 @@ def monomial_betti(gens: Sequence[Exponents], nvars: int, char: int) -> BettiTab
     for a in monomials.lcm_closure(gens):
         supp = [t for t in range(nvars) if a[t] > 0]
         k = len(supp)
+        tight = [
+            sum(1 << s for s, t in enumerate(supp) if g[t] == a[t])
+            for g in gens if exp_divides(g, a)
+        ]
         alive: dict[int, int | None] = {}
         sizes: list[list[int]] = [[] for _ in range(k + 1)]
         for mask in range(1 << k):
-            b = list(a)
-            for s in range(k):
-                if mask >> s & 1:
-                    b[supp[s]] -= 1
-            if monomials.member(tuple(b), gens):
+            if not all(mask & m for m in tight):
                 alive[mask] = None
             else:
                 size = bin(mask).count("1")

@@ -14,7 +14,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -42,6 +42,7 @@ from .resolution import BettiTable, koszul_betti, lift_section_table, monomial_b
 PASS = "pass"
 FAIL = "fail"
 SKIP = "hypotheses_not_met"
+ERROR = "error"  # the instance raised; run_corpus records it and goes on
 
 
 # ---------------------------------------------------------------------------
@@ -971,16 +972,26 @@ def run_corpus(
 ) -> dict:
     """Generate a corpus, run the whole suite, optionally write reports.
 
-    Returns a summary dict with pass/fail/skip counts; determinism contract:
-    identical arguments produce byte-identical report files.
+    An instance whose generation or checks raise gets one report with check
+    and verdict "error", the exception as its notes and the replay spec as
+    its params; the run goes on with the next instance.  Returns a summary
+    dict with pass/fail/skip/error counts; determinism contract: identical
+    arguments produce byte-identical report files.
     """
+    PolyRing(1, prime)  # a bad prime is bad input to the whole run, not an instance error
     specs = corpus_specs(size, seed, prime=prime)
     reports: list[BoundReport] = []
     for k, spec in enumerate(specs):
-        I, meta = generate_instance(spec)
-        if I.is_zero:
-            continue
-        reports.extend(run_all_checks(I, seed=spec.seed, instance=spec.label(), meta=meta, r_values=r_values))
+        try:
+            I, meta = generate_instance(spec)
+            if I.is_zero:
+                continue
+            reports.extend(run_all_checks(I, seed=spec.seed, instance=spec.label(), meta=meta, r_values=r_values))
+        except Exception as exc:  # one bad instance must not abort the corpus
+            reports.append(BoundReport(
+                check="error", instance=spec.label(), params=asdict(spec), lhs=None, rhs=None,
+                verdict=ERROR, notes=f"{type(exc).__name__}: {exc}",
+            ))
         if progress:
             progress(k + 1, len(specs))
     reports.sort(key=lambda r: (r.instance, r.check, json.dumps(r.params, sort_keys=True)))
@@ -1001,5 +1012,6 @@ def run_corpus(
         "pass": sum(r.verdict == PASS for r in reports),
         "fail": sum(r.verdict == FAIL for r in reports),
         "hypotheses_not_met": sum(r.verdict == SKIP for r in reports),
+        "error": sum(r.verdict == ERROR for r in reports),
     }
     return summary

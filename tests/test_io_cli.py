@@ -163,6 +163,16 @@ def test_cli_corpus(tmp_path, capsys):
     assert tsv[0] == "instance\tcheck\tlhs\trhs_log2\tverdict"
 
 
+def test_cli_corpus_with_an_instance_error_exits_3(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verifier, "run_all_checks", boom)
+    assert main(["--out", str(tmp_path / "corp"), "--seed", "4", "corpus", "--size", "2"]) == 3
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["error"] == 2 and summary["pass"] == 0
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     path = _write(tmp_path, "ring 2 32003 x y\nx + y^2\n")
     assert main(["betti", path]) == 2

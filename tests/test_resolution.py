@@ -1,7 +1,10 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bettibounds.groebner import Ideal, hilbert_numerator_of, reduced_gb
 from bettibounds.polyring import GREVLEX, PolyRing
@@ -100,6 +103,51 @@ def test_minimize_agrees_with_strand_koszul():
         A = minimize_taylor(taylor_complex(gens, nvars=n))
         B = monomial_betti(gens, n, 32003)
         assert A.entries == B.entries, (gens, A.entries, B.entries)
+
+
+@st.composite
+def _monomial_gens(draw):
+    n = draw(st.integers(3, 5))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n).filter(any), min_size=1, max_size=6))
+    return n, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(_monomial_gens())
+def test_strands_match_minimized_taylor_with_higher_exponents(case):
+    # exponents up to 4 give tight coordinates with a_t >= 2, which
+    # squarefree inputs such as edge ideals never reach
+    n, gens = case
+    A = minimize_taylor(taylor_complex(gens, nvars=n))
+    B = monomial_betti(gens, n, 32003)
+    assert A.entries == B.entries, (gens, A.entries, B.entries)
+
+
+def _edge_graph(k):
+    # graph k of the edge-ideal generator: 9-11 vertices, 14-22 edges
+    g = random.Random(9000 + k)
+    n = g.randint(9, 11)
+    m = g.randint(14, 22)
+    return n, sorted(g.sample(list(combinations(range(n), 2)), m))
+
+
+@pytest.mark.parametrize("k,table", [
+    (1, {(1, 2): 18, (2, 3): 51, (2, 4): 8, (3, 4): 60, (3, 5): 35, (4, 5): 34, (4, 6): 59,
+         (5, 6): 9, (5, 7): 48, (6, 7): 1, (6, 8): 19, (7, 9): 3}),
+    (6, {(1, 2): 20, (2, 3): 60, (2, 4): 8, (3, 4): 74, (3, 5): 40, (4, 5): 44, (4, 6): 74,
+         (5, 6): 14, (5, 7): 62, (6, 7): 2, (6, 8): 25, (7, 9): 4}),
+    (10, {(1, 2): 17, (2, 3): 47, (2, 4): 4, (3, 4): 53, (3, 5): 19, (4, 5): 28, (4, 6): 32,
+          (5, 6): 7, (5, 7): 24, (6, 7): 1, (6, 8): 8, (7, 9): 1}),
+    (21, {(1, 2): 17, (2, 3): 46, (2, 4): 6, (3, 4): 49, (3, 5): 27, (4, 5): 21, (4, 6): 47,
+          (5, 6): 2, (5, 7): 38, (6, 8): 14, (7, 9): 2}),
+    (22, {(1, 2): 19, (2, 3): 58, (2, 4): 3, (3, 4): 76, (3, 5): 16, (4, 5): 50, (4, 6): 31,
+          (5, 6): 16, (5, 7): 28, (6, 7): 2, (6, 8): 12, (7, 9): 2}),
+])
+def test_edge_ideal_strand_tables_are_pinned(k, table):
+    n, edges = _edge_graph(k)
+    assert n == 9
+    gens = [tuple(1 if t in e else 0 for t in range(n)) for e in edges]
+    assert monomial_betti(gens, n, 32003).entries == {(0, 0): 1, **table}
 
 
 # ---------------------------------------------------------------------------

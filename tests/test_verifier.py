@@ -5,6 +5,7 @@ import pytest
 from bettibounds.groebner import Ideal, ideals_equal
 from bettibounds.polyring import GREVLEX, LEX, PolyRing
 from bettibounds.verifier import (
+    ERROR,
     FAIL,
     PASS,
     SKIP,
@@ -22,6 +23,7 @@ from bettibounds.verifier import (
     check_thm_lc,
     check_thm_prime,
     check_thm_syz,
+    corpus_specs,
     generate_instance,
     run_all_checks,
     run_corpus,
@@ -333,3 +335,33 @@ def test_run_corpus_small_deterministic(tmp_path):
     assert t1.read_bytes() == t2.read_bytes()
     first = json.loads(p1.read_text().splitlines()[0])
     assert {"check", "instance", "lhs", "rhs_desc", "verdict", "witness"} <= set(first)
+
+
+def test_run_corpus_isolates_an_instance_that_raises(tmp_path, monkeypatch):
+    from bettibounds import verifier
+
+    clean = tmp_path / "clean.jsonl"
+    assert run_corpus(6, seed=2024, jsonl_path=str(clean))["error"] == 0
+    bad = corpus_specs(6, 2024)[2]
+    real = verifier.run_all_checks
+
+    def raise_on_bad(I, seed, instance, **kwargs):
+        if instance == bad.label():
+            raise RuntimeError("boom")
+        return real(I, seed=seed, instance=instance, **kwargs)
+
+    monkeypatch.setattr(verifier, "run_all_checks", raise_on_bad)
+    out = tmp_path / "out.jsonl"
+    summary = run_corpus(6, seed=2024, jsonl_path=str(out))
+    assert summary["error"] == 1
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    errors = [r for r in rows if r["verdict"] == ERROR]
+    assert len(errors) == 1
+    err = errors[0]
+    assert err["check"] == "error" and err["instance"] == bad.label()
+    assert err["notes"] == "RuntimeError: boom"
+    assert InstanceSpec(**err["params"]) == bad
+    kept = [line for line in clean.read_text().splitlines() if json.loads(line)["instance"] != bad.label()]
+    assert 0 < len(kept) < len(clean.read_text().splitlines())
+    assert [line for line in out.read_text().splitlines() if json.loads(line)["verdict"] != ERROR] == kept
+    assert summary["pass"] + summary["fail"] + summary["hypotheses_not_met"] == len(kept)
