@@ -346,6 +346,9 @@ def buchberger_iteration(
     out = list(polys)
     seen = set(out)
     lms = [g.leading_monomial(order) for g in polys]
+    # one reducer for the round, built at the first reduction and extended
+    # as ``out`` grows
+    red: _Reducer | None = None
     for i, j in combinations(range(len(polys)), 2):
         if use_criterion and exp_gcd(lms[i], lms[j]) == (0,) * len(lms[i]):
             continue
@@ -354,12 +357,15 @@ def buchberger_iteration(
         s = s_polynomial(polys[i], polys[j], order)
         if s.is_zero:
             continue
-        r = normal_form(s, out, order)
-        if not r.is_zero:
-            r = r.monic(order)
+        if red is None:
+            red = _make_reducer(out, order)
+        _, rem = red.reduce(s.terms)
+        if rem:
+            r = Poly(s.ring, rem, _normalized=True).monic(order)
             if r not in seen:
                 seen.add(r)
                 out.append(r)
+                red.add_divisor(r)
     return out
 
 

@@ -176,9 +176,14 @@ class PolyRing:
 
 
 class Poly:
-    """A sparse polynomial: dict from exponent tuple to nonzero coeff mod p."""
+    """A sparse polynomial: dict from exponent tuple to nonzero coeff mod p.
 
-    __slots__ = ("ring", "terms", "_hash")
+    A Poly is never changed after construction, so it caches its hash and its
+    leading monomial under the last order asked for, keyed by the identity of
+    the order object (orders are built on the fly and may share a name).
+    """
+
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring: PolyRing, terms: Mapping[Exponents, int], *, _normalized: bool = False):
         if not _normalized:
@@ -199,6 +204,7 @@ class Poly:
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self._lead: tuple[MonomialOrder, Exponents] | None = None
 
     # -- structure ----------------------------------------------------------
 
@@ -230,9 +236,14 @@ class Poly:
     # -- leading data --------------------------------------------------------
 
     def leading_monomial(self, order: MonomialOrder) -> Exponents:
+        lead = self._lead
+        if lead is not None and lead[0] is order:
+            return lead[1]
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=order.key)
+        lm = max(self.terms, key=order.key)
+        self._lead = (order, lm)
+        return lm
 
     def leading_coeff(self, order: MonomialOrder) -> int:
         return self.terms[self.leading_monomial(order)]

@@ -33,7 +33,7 @@ from .groebner import (
     quotient_dimension,
     truncated_initial_generators,
 )
-from .linalg import rank_mod_p
+from .linalg import rank_mod_p, rank_sparse_mod_p
 from .polyring import GREVLEX, Exponents, Poly, exp_deg, exp_divides, exp_lcm, exp_sub
 
 
@@ -307,12 +307,6 @@ def minimize_taylor(T: TaylorComplex) -> BettiTable:
 # Koszul homology, monomial strand fast path
 # ---------------------------------------------------------------------------
 
-def _small_rank(rows: list[list[int]], p: int) -> int:
-    if not rows or not rows[0]:
-        return 0
-    return rank_mod_p(rows, p)
-
-
 def monomial_betti(gens: Sequence[Exponents], nvars: int, char: int) -> BettiTable:
     """Betti numbers of S/J for a monomial ideal J via multigraded strands.
 
@@ -326,8 +320,12 @@ def monomial_betti(gens: Sequence[Exponents], nvars: int, char: int) -> BettiTab
     Combinatorial Commutative Algebra, 2005, Thm 1.34): a generator g | x^a
     divides x^(a - e_L) exactly when L misses its tight set
     T_g = {t : g_t = a_t}.  So one divisibility pass over the generators per
-    lcm gives a bitmask of T_g for each divisor g, and x^(a - e_L) is in J
-    exactly when L misses one of them.  Any exponents work, not only 0 and 1.
+    lcm gives a bitmask of T_g for each divisor g, and the dead subsets (those
+    with x^(a - e_L) in J) are exactly the submasks of the complements
+    supp(a) minus T_g, which are enumerated directly.  Any exponents work, not
+    only 0 and 1.  The surviving subsets are numbered by size in ascending
+    mask order; each boundary column is a sparse vector {row: +-1} over them,
+    and its rank over F_p comes from ``linalg.rank_sparse_mod_p``.
     """
     gens = monomials.minimalize(gens)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
@@ -339,37 +337,44 @@ def monomial_betti(gens: Sequence[Exponents], nvars: int, char: int) -> BettiTab
     for a in monomials.lcm_closure(gens):
         supp = [t for t in range(nvars) if a[t] > 0]
         k = len(supp)
-        tight = [
+        # index[L] is -1 for a dead subset, else L's position among the
+        # alive subsets of its size
+        full = (1 << k) - 1
+        index = [0] * (1 << k)
+        for tight in {
             sum(1 << s for s, t in enumerate(supp) if g[t] == a[t])
             for g in gens if exp_divides(g, a)
-        ]
-        alive: dict[int, int | None] = {}
+        }:
+            free = full ^ tight
+            sub = free
+            while True:
+                index[sub] = -1
+                if not sub:
+                    break
+                sub = (sub - 1) & free
         sizes: list[list[int]] = [[] for _ in range(k + 1)]
         for mask in range(1 << k):
-            if not all(mask & m for m in tight):
-                alive[mask] = None
-            else:
-                size = bin(mask).count("1")
-                alive[mask] = len(sizes[size])
-                sizes[size].append(mask)
+            if index[mask] == 0:
+                bucket = sizes[mask.bit_count()]
+                index[mask] = len(bucket)
+                bucket.append(mask)
         ranks: dict[int, int] = {}
         for i in range(1, k + 1):
-            cols = sizes[i]
-            rows = sizes[i - 1]
-            if not cols or not rows:
-                ranks[i] = 0
-                continue
-            mat = [[0] * len(cols) for _ in rows]
-            for cidx, mask in enumerate(cols):
-                s = 0
-                for t in range(k):
-                    if mask >> t & 1:
-                        s += 1
-                        target = mask ^ (1 << t)
-                        ridx = alive[target]
-                        if ridx is not None:
-                            mat[ridx][cidx] = 1 if s % 2 else p - 1
-            ranks[i] = _small_rank(mat, p)
+            cols = []
+            for mask in sizes[i]:
+                col = {}
+                sign = 1
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    row = index[mask ^ low]
+                    if row >= 0:
+                        col[row] = sign
+                    sign = -sign
+                    rest ^= low
+                if col:
+                    cols.append(col)
+            ranks[i] = rank_sparse_mod_p(cols, p)
         j = exp_deg(a)
         for i in range(1, k + 1):
             dim_i = len(sizes[i])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from bettibounds.polyring import (
     GREVLEX,
     LEX,
+    MonomialOrder,
     Poly,
     PolyRing,
     apply_linear_change,
@@ -39,6 +40,21 @@ def test_characteristic_of_2_31_or_more_is_refused():
     p = 2**31 - 1
     assert PolyRing(2, p).char == p
     assert rank_mod_p([[p - 1, p - 2], [p - 2, p - 4]], p) == 1
+
+
+def test_leading_monomial_cache_follows_the_order_object():
+    from bettibounds.groebner import _elim_order
+
+    # the custom order shares grevlex's name but not its key
+    orders = [GREVLEX, LEX, _elim_order(GREVLEX), MonomialOrder("grevlex", lambda e: e)]
+    f = R3.from_terms({(2, 0, 2): 1, (2, 1, 0): 2, (0, 1, 2): 3, (1, 1, 1): 4})
+    leads = []
+    for order in orders * 3:
+        lm = f.leading_monomial(order)
+        assert lm == max(f.terms, key=order.key)
+        leads.append(lm)
+    # consecutive queries disagree, so a stale cache entry would show
+    assert leads[:4] == [(2, 0, 2), (2, 1, 0), (2, 0, 2), (2, 1, 0)]
 
 
 def test_compare_grevlex_degree2_tiebreak():

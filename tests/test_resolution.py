@@ -150,6 +150,28 @@ def test_edge_ideal_strand_tables_are_pinned(k, table):
     assert monomial_betti(gens, n, 32003).entries == {(0, 0): 1, **table}
 
 
+def _edge_gens(n, edges):
+    return [tuple(1 if t in e else 0 for t in range(n)) for e in edges]
+
+
+def test_twelve_vertex_strand_tables_are_pinned():
+    # strands with up to 12 coordinates, beyond the 9-vertex graphs above
+    cycle = [(i, (i + 1) % 12) for i in range(12)]
+    assert monomial_betti(_edge_gens(12, cycle), 12, 32003).entries == {
+        (0, 0): 1, (1, 2): 12, (2, 3): 12, (2, 4): 42, (3, 5): 84, (3, 6): 40, (4, 6): 42,
+        (4, 7): 120, (4, 8): 3, (5, 8): 120, (5, 9): 12, (6, 9): 40, (6, 10): 18, (7, 11): 12,
+        (8, 12): 2,
+    }
+    g = random.Random(12024)
+    edges = sorted(g.sample(list(combinations(range(12), 2)), 24))
+    assert monomial_betti(_edge_gens(12, edges), 12, 32003).entries == {
+        (0, 0): 1, (1, 2): 24, (2, 3): 76, (2, 4): 37, (3, 4): 107, (3, 5): 179, (3, 6): 4,
+        (4, 5): 95, (4, 6): 347, (4, 7): 18, (5, 6): 63, (5, 7): 363, (5, 8): 32, (6, 7): 29,
+        (6, 8): 229, (6, 9): 28, (7, 8): 8, (7, 9): 89, (7, 10): 12, (8, 9): 1, (8, 10): 20,
+        (8, 11): 2, (9, 11): 2,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Koszul homology
 # ---------------------------------------------------------------------------
