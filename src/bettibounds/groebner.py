@@ -22,6 +22,7 @@ from . import monomials
 from .linalg import rank_mod_p
 from .polyring import (
     GREVLEX,
+    LEX,
     Exponents,
     MonomialOrder,
     Poly,
@@ -30,6 +31,7 @@ from .polyring import (
     exp_divides,
     exp_gcd,
     exp_lcm,
+    exp_mul,
     exp_sub,
 )
 
@@ -132,12 +134,13 @@ _PACK_LIMIT = 1 << 13  # headroom: field sums stay clear of the guard bits
 def _packed_key_fn(order: MonomialOrder, shifts: tuple[int, ...]):
     """Monomial-order key on packed exponents, as a single integer.
 
-    Bigger key = bigger monomial.  Only the orders below have one; any other
-    order is refused.
+    Bigger key = bigger monomial.  The order object itself, not its name,
+    selects the key: only ``LEX``, ``GREVLEX`` and ``_ELIM_GREVLEX`` have
+    one, and any other order is refused.
     """
-    if order.name == "lex":
+    if order is LEX:
         return lambda raw: raw  # big-endian packing compares lexicographically
-    if order.name == "grevlex":
+    if order is GREVLEX:
         def key(raw: int) -> int:
             vals = [(raw >> s) & _FMASK for s in shifts]
             k = sum(vals)
@@ -145,7 +148,7 @@ def _packed_key_fn(order: MonomialOrder, shifts: tuple[int, ...]):
                 k = (k << _W) | (_FMASK - x)
             return k
         return key
-    if order.name == "elim+grevlex":
+    if order is _ELIM_GREVLEX:
         def key(raw: int) -> int:
             vals = [(raw >> s) & _FMASK for s in shifts]
             k = (vals[0] << (2 * _W)) | sum(vals[1:])
@@ -153,8 +156,8 @@ def _packed_key_fn(order: MonomialOrder, shifts: tuple[int, ...]):
                 k = (k << _W) | (_FMASK - x)
             return k
         return key
-    raise ValueError(f"monomial order {order.name!r} has no packed key; "
-                     "the reducer supports grevlex, lex and elim+grevlex")
+    raise ValueError(f"monomial order {order!r} has no packed key; the reducer "
+                     "supports only the module's grevlex, lex and elim+grevlex orders")
 
 
 class _Reducer:
@@ -322,7 +325,6 @@ def buchberger_iteration(
     basis: Sequence[Poly],
     order: MonomialOrder = GREVLEX,
     degree_cap: int | None = None,
-    use_criterion: bool = False,
 ) -> list[Poly]:
     """One round: all S-pairs of ``basis``; returns the inputs plus the
     nonzero remainders, made monic.
@@ -350,8 +352,6 @@ def buchberger_iteration(
     # as ``out`` grows
     red: _Reducer | None = None
     for i, j in combinations(range(len(polys)), 2):
-        if use_criterion and exp_gcd(lms[i], lms[j]) == (0,) * len(lms[i]):
-            continue
         if degree_cap is not None and exp_deg(exp_lcm(lms[i], lms[j])) > degree_cap:
             continue
         s = s_polynomial(polys[i], polys[j], order)
@@ -506,7 +506,7 @@ def groebner_basis(I: Ideal, order: MonomialOrder = GREVLEX, use_criterion: bool
 
 def reduced_gb(I: Ideal, order: MonomialOrder = GREVLEX) -> GBasis:
     """Cached reduced Groebner basis of I."""
-    key = ("gb", order.name)
+    key = ("gb", order)
     gb = I._cache.get(key)
     if gb is None:
         gb = groebner_basis(I, order)
@@ -570,22 +570,14 @@ def homogeneous_component_dim(I: Ideal, d: int) -> int:
     Independent of any Groebner computation; used as a cross-check oracle.
     """
     ring = I.ring
+    mono_index = {m: idx for idx, m in enumerate(monomials.of_degree(ring.nvars, d))}
     rows = []
-    mono_index: dict[Exponents, int] = {}
-    all_monos = list(monomials.of_degree(ring.nvars, d))
-    for idx, m in enumerate(all_monos):
-        mono_index[m] = idx
     for g in I.gens:
         gd = g.degree()
         if gd > d:
             continue
         for m in monomials.of_degree(ring.nvars, d - gd):
-            row = [0] * len(all_monos)
-            for e, c in g.terms.items():
-                row[mono_index[tuple(x + y for x, y in zip(e, m))]] = c
-            rows.append(row)
-    if not rows:
-        return 0
+            rows.append({mono_index[exp_mul(e, m)]: c for e, c in g.terms.items()})
     return rank_mod_p(rows, ring.char)
 
 
@@ -701,8 +693,14 @@ def draw_certified_form(
 # colon ideals and saturation
 # ---------------------------------------------------------------------------
 
+_ELIM_GREVLEX = MonomialOrder("elim+grevlex", lambda e: (e[0],) + GREVLEX.key(e[1:]))
+
+
 def _elim_order(base: MonomialOrder) -> MonomialOrder:
-    return MonomialOrder(f"elim+{base.name}", lambda e: (e[0],) + base.key(e[1:]))
+    """The order eliminating the first variable, then ``base`` on the rest."""
+    if base is not GREVLEX:
+        raise ValueError(f"no elimination order over {base!r}; only grevlex has one")
+    return _ELIM_GREVLEX
 
 
 def _lift(f: Poly, big: PolyRing, tdeg: int) -> Poly:

@@ -114,12 +114,13 @@ def _socle_artinian(I: Ideal) -> list[int]:
             out.extend([d] * h)  # top degree: everything is killed by m
             d += 1
             continue
-        stacked = [[0] * h for _ in range(n * hup)]
+        # column u: the products x_t * u for all t, stacked
+        cols: list[dict[int, int]] = [{} for _ in range(h)]
         for t in range(n):
             for u, col in enumerate(qb.mult_columns(t, d)):
                 for vidx, c in col.items():
-                    stacked[t * hup + vidx][u] = c
-        out.extend([d] * (h - rank_mod_p(stacked, p)))
+                    cols[u][t * hup + vidx] = c
+        out.extend([d] * (h - rank_mod_p(cols, p)))
         d += 1
     return out
 

@@ -15,8 +15,8 @@ from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
-# exclusive bound on the characteristic: rank_mod_p eliminates in int64, which
-# needs p^2 < 2^63; it also keeps trial division in is_prime near a millisecond
+# exclusive bound on the characteristic: it keeps trial division in is_prime
+# near 2 ms (ranks over F_p use Python ints and need no bound)
 MAX_CHAR = 2**31
 
 

@@ -21,8 +21,6 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-import numpy as np
-
 from . import monomials
 from .groebner import (
     Ideal,
@@ -33,7 +31,7 @@ from .groebner import (
     quotient_dimension,
     truncated_initial_generators,
 )
-from .linalg import rank_mod_p, rank_sparse_mod_p
+from .linalg import rank_mod_p
 from .polyring import GREVLEX, Exponents, Poly, exp_deg, exp_divides, exp_lcm, exp_sub
 
 
@@ -325,7 +323,7 @@ def monomial_betti(gens: Sequence[Exponents], nvars: int, char: int) -> BettiTab
     supp(a) minus T_g, which are enumerated directly.  Any exponents work, not
     only 0 and 1.  The surviving subsets are numbered by size in ascending
     mask order; each boundary column is a sparse vector {row: +-1} over them,
-    and its rank over F_p comes from ``linalg.rank_sparse_mod_p``.
+    and its rank over F_p comes from ``linalg.rank_mod_p``.
     """
     gens = monomials.minimalize(gens)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
@@ -374,7 +372,7 @@ def monomial_betti(gens: Sequence[Exponents], nvars: int, char: int) -> BettiTab
                     rest ^= low
                 if col:
                     cols.append(col)
-            ranks[i] = rank_sparse_mod_p(cols, p)
+            ranks[i] = rank_mod_p(cols, p)
         j = exp_deg(a)
         for i in range(1, k + 1):
             dim_i = len(sizes[i])
@@ -446,7 +444,6 @@ def koszul_betti(
     degree_caps: dict[int, int] | None = None,
     *,
     max_i: int | None = None,
-    reduce_regular: bool = True,
     max_cuts: int | None = None,
     seed: int = 0,
 ) -> BettiTable:
@@ -456,7 +453,9 @@ def koszul_betti(
     when omitted the caps are taken from the table of S/in(I), which bounds
     the true table entrywise by upper semicontinuity.  ``max_i`` restricts
     the computation to homological indices <= max_i (the table is then marked
-    partial).  Completed tables are validated against the Hilbert series
+    partial).  Without ``degree_caps`` the quotient is first cut by at most
+    ``max_cuts`` certified-regular linear forms (no limit when None; 0 skips
+    the cutting).  Completed tables are validated against the Hilbert series
     numerator; failure raises IncompleteTableError.
     """
     ring = I.ring
@@ -473,7 +472,7 @@ def koszul_betti(
 
     nvars0 = ring.nvars
     J = I
-    if reduce_regular and degree_caps is None and (max_cuts is None or max_cuts > 0):
+    if degree_caps is None:
         J, _ = _regular_reduce(I, seed, max_cuts=max_cuts)
     if J.is_monomial:
         B = monomial_betti(J.monomial_exponents(), J.ring.nvars, p)
@@ -515,20 +514,21 @@ def koszul_betti(
         rows_subsets = {S: idx for idx, S in enumerate(combinations(range(n), i - 1))}
         hlo, hhi = len(lo), len(hi)
         if len(rows_subsets) * hhi * len(cols_subsets) * hlo > 40_000_000:
-            raise RuntimeError(f"Koszul stratum (i={i}, j={j}) too large for dense rank")
-        mat = np.zeros((len(rows_subsets) * hhi, len(cols_subsets) * hlo), dtype=np.int64)
-        mult = {t: qb.mult_columns(t, j - i) for t in {t for S in cols_subsets for t in S}}
-        for ci, S in enumerate(cols_subsets):
-            for s, t in enumerate(S):
-                sign = 1 if s % 2 == 0 else p - 1
-                target = rows_subsets[S[:s] + S[s + 1:]]
-                cols = mult[t]
-                for u in range(hlo):
-                    col = ci * hlo + u
-                    base = target * hhi
-                    for vidx, c in cols[u].items():
-                        mat[base + vidx, col] = (mat[base + vidx, col] + sign * c) % p
-        r = rank_mod_p(mat, p)
+            raise RuntimeError(f"Koszul stratum (i={i}, j={j}) too large")
+        mult = [qb.mult_columns(t, j - i) for t in range(n)]
+        cols = []
+        for S in cols_subsets:
+            for u in range(hlo):
+                col = {}
+                # the targets S minus one element are distinct, so no entry
+                # is written twice
+                for s, t in enumerate(S):
+                    sign = 1 if s % 2 == 0 else -1
+                    base = rows_subsets[S[:s] + S[s + 1:]] * hhi
+                    for vidx, c in mult[t][u].items():
+                        col[base + vidx] = sign * c % p
+                cols.append(col)
+        r = rank_mod_p(cols, p)
         rank_cache[key] = r
         return r
 

@@ -230,7 +230,7 @@ class CheckContext:
         self.seed = seed
         self.instance = instance
         self._table: BettiTable | None = None
-        self._initial: dict[str, tuple] = {}
+        self._initial: dict[MonomialOrder, tuple] = {}
         self._sections: dict[int, tuple] = {}
 
     @property
@@ -240,9 +240,9 @@ class CheckContext:
         return self._table
 
     def initial(self, order: MonomialOrder = GREVLEX) -> tuple:
-        if order.name not in self._initial:
-            self._initial[order.name] = initial_exponents(self.ideal, order)
-        return self._initial[order.name]
+        if order not in self._initial:
+            self._initial[order] = initial_exponents(self.ideal, order)
+        return self._initial[order]
 
     @property
     def pd(self) -> int:
@@ -417,7 +417,7 @@ def _syz_gamma(I: Ideal, c: CheckContext, seed: int) -> tuple[int | None, int, d
     r = c.depth
     section = generic_section(I, min(r + 1, I.ring.nvars), seed=seed)
     # the section quotient has depth 0 by construction: skip reduction tries
-    table = koszul_betti(section.substituted, max_i=2, reduce_regular=False, seed=seed)
+    table = koszul_betti(section.substituted, max_i=2, max_cuts=0, seed=seed)
     C = lift_section_table(table, section.absorbed, I.ring.nvars).t(2)
     D = c.max_gen_degree
     gamma = max(C, D) if C is not None else D

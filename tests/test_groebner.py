@@ -393,3 +393,29 @@ def test_order_without_packed_key_is_refused():
     x, y, z = R3.variables()
     with pytest.raises(ValueError, match="no packed key"):
         groebner_basis(Ideal(R3, [x * y - z * z, y * y]), deglex)
+
+
+def test_order_named_like_a_packed_one_is_refused():
+    from bettibounds.polyring import MonomialOrder
+
+    # grevlex's name with lex's key: reducing with grevlex's packed key gave
+    # -y^3 for the normal form of the divisor itself
+    impostor = MonomialOrder("grevlex", LEX.key)
+    f = X * X + Y * Y * Y
+    assert normal_form(f, [f], LEX).is_zero
+    with pytest.raises(ValueError, match="no packed key"):
+        normal_form(f, [f], impostor)
+
+
+def test_reduced_gb_cache_is_keyed_by_the_order_object():
+    from bettibounds.polyring import MonomialOrder
+
+    x, y, z = R3.variables()
+    I = Ideal(R3, [x * x - y * z, x * y - z * z])
+    grevlex_gb = reduced_gb(I, GREVLEX)
+    lex_gb = reduced_gb(I, LEX)
+    assert lex_gb.elements != grevlex_gb.elements
+    assert reduced_gb(I, GREVLEX) is grevlex_gb and reduced_gb(I, LEX) is lex_gb
+    # an order that only shares grevlex's name gets no cached grevlex basis
+    with pytest.raises(ValueError, match="no packed key"):
+        reduced_gb(I, MonomialOrder("grevlex", LEX.key))

@@ -31,15 +31,16 @@ def test_ring_validation():
 
 
 def test_characteristic_of_2_31_or_more_is_refused():
-    # rank_mod_p works in int64: at p = 4294967311 the rank-1 matrix
-    # [[p-1, p-2], [p-2, p-4]] came out as rank 2, so such rings are refused
+    # the refusal keeps trial division in is_prime fast; below the bound
+    # ranks stay exact near p, e.g. for the rank-1 matrix
+    # [[p-1, p-2], [p-2, p-4]]
     from bettibounds.linalg import rank_mod_p
 
     with pytest.raises(ValueError, match=r"2\^31"):
         PolyRing(2, 4294967311)
     p = 2**31 - 1
     assert PolyRing(2, p).char == p
-    assert rank_mod_p([[p - 1, p - 2], [p - 2, p - 4]], p) == 1
+    assert rank_mod_p([{0: p - 1, 1: p - 2}, {0: p - 2, 1: p - 4}], p) == 1
 
 
 def test_leading_monomial_cache_follows_the_order_object():

@@ -142,7 +142,7 @@ def test_tor_sequence_degree_inequality_generic_coordinates():
             continue
         t1_colon = koszul_betti(colon, max_i=1).t(1)
         plus = Ideal(I.ring, list(I.gens) + [xN])
-        t2_plus = koszul_betti(plus, max_i=2, reduce_regular=False).t(2)
+        t2_plus = koszul_betti(plus, max_i=2, max_cuts=0).t(2)
         t1_I = koszul_betti(I, max_i=1).t(1)
         bound = max(v for v in (t2_plus, t1_I) if v is not None)
         assert t1_colon + 1 <= bound

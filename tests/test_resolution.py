@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bettibounds import monomials
 from bettibounds.groebner import Ideal, hilbert_numerator_of, reduced_gb
-from bettibounds.polyring import GREVLEX, PolyRing
+from bettibounds.polyring import GREVLEX, Poly, PolyRing
 from bettibounds.resolution import (
     BettiTable,
     IncompleteTableError,
@@ -176,6 +177,30 @@ def test_twelve_vertex_strand_tables_are_pinned():
 # Koszul homology
 # ---------------------------------------------------------------------------
 
+# the ring sizes and generator degrees of the benchmark's dense ideals; their
+# Koszul ranks go up to a 76 x 114 matrix
+DENSE_SHAPES = ((5, (4, 3, 2, 2)), (6, (2, 2, 2, 2)), (4, (4, 4, 3, 2)), (5, (2, 2, 2, 2, 2, 2)))
+DENSE_TABLES = (
+    {(1, 2): 2, (1, 3): 1, (1, 4): 1, (2, 4): 1, (2, 5): 2, (2, 6): 2, (2, 7): 1, (3, 7): 1,
+     (3, 8): 1, (3, 9): 2, (4, 11): 1},
+    {(1, 2): 4, (2, 4): 6, (3, 6): 4, (4, 8): 1},
+    {(1, 2): 1, (1, 3): 1, (1, 4): 2, (2, 5): 1, (2, 6): 2, (2, 7): 2, (2, 8): 1, (3, 9): 2,
+     (3, 10): 1, (3, 11): 1, (4, 13): 1},
+    {(1, 2): 6, (2, 4): 20, (3, 5): 16, (3, 6): 10, (4, 7): 16, (5, 8): 5},
+)
+
+
+def test_dense_koszul_tables_are_pinned():
+    # every coefficient drawn from random.Random(7), monomials in descending
+    # lex order, as the benchmark writes its dense ideals
+    rng = random.Random(7)
+    for (n, degrees), table in zip(DENSE_SHAPES, DENSE_TABLES):
+        ring = PolyRing(n, 32003)
+        gens = [Poly(ring, {m: rng.randrange(1, 32003) for m in reversed(list(monomials.of_degree(n, d)))})
+                for d in degrees]
+        assert koszul_betti(Ideal(ring, gens), seed=7).entries == {(0, 0): 1, **table}
+
+
 def test_koszul_regular_sequence():
     B = koszul_betti(Ideal(R2, [X * X, Y * Y]))
     assert B.entries == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
@@ -202,7 +227,7 @@ def test_koszul_no_reduction_matches():
         spec = InstanceSpec("random-homogeneous", 3, 3, 3, seed=1000 + seed)
         I, _ = generate_instance(spec)
         a = koszul_betti(I, seed=seed)
-        b = koszul_betti(I, reduce_regular=False, seed=seed)
+        b = koszul_betti(I, max_cuts=0, seed=seed)
         assert a.entries == b.entries
 
 
@@ -246,7 +271,7 @@ def test_koszul_factor_identity_for_adjoined_form():
         if not form_regularity_with_image(I, ell)[0]:
             continue
         J = Ideal(I.ring, list(I.gens) + [ell])
-        direct = koszul_betti(J, reduce_regular=False)
+        direct = koszul_betti(J, max_cuts=0)
         small = koszul_betti(substitute_linear_form(I, ell))
         assert lift_section_table(small, 1, 3).entries == direct.entries
 

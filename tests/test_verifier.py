@@ -152,7 +152,7 @@ def test_syz_section_t2_matches_direct_computation():
         ctx = CheckContext(I, seed=seed)
         C, gamma, _w = _syz_gamma(I, ctx, seed=seed)
         section = generic_section(I, min(ctx.depth + 1, I.ring.nvars), seed=seed)
-        direct = koszul_betti(section.ideal, max_i=2, reduce_regular=False, seed=seed)
+        direct = koszul_betti(section.ideal, max_i=2, max_cuts=0, seed=seed)
         assert C == direct.t(2)
 
 
@@ -207,7 +207,7 @@ def test_lemma_reduction_section_table_matches_direct_computation():
         r = check_lemma_reduction(I, seed=seed)
         assert r.params["depth"] in (1, 2)
         ell, _ = find_regular_form(I, seed=seed)
-        direct = koszul_betti(Ideal(I.ring, list(I.gens) + [ell]), reduce_regular=False)
+        direct = koszul_betti(Ideal(I.ring, list(I.gens) + [ell]), max_cuts=0)
         assert r.witness["betti_section"] == [[i, j, v] for (i, j), v in direct.items()]
 
 
