@@ -8,7 +8,7 @@ degree cap so that a truncated initial ideal can be produced by finitely many
 rounds.  ``groebner_basis`` is the workhorse: a pair-queue Buchberger whose
 pairs pass the Gebauer-Moeller update (switchable off, so that every S-pair
 is reduced, for faithful benchmarking) followed by interreduction to the
-unique reduced basis.
+unique reduced basis, all on packed monomials (``polyring.Packing``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import monomials
 from .linalg import rank_mod_p
@@ -25,12 +25,11 @@ from .polyring import (
     LEX,
     Exponents,
     MonomialOrder,
+    Packing,
     Poly,
     PolyRing,
-    exp_deg,
     exp_divides,
     exp_gcd,
-    exp_lcm,
     exp_mul,
     exp_sub,
 )
@@ -123,37 +122,43 @@ class GBasis:
 
 
 # ---------------------------------------------------------------------------
-# division with remainder
+# division with remainder, on packed monomials
 # ---------------------------------------------------------------------------
 
-_W = 16
-_FMASK = (1 << _W) - 1
-_PACK_LIMIT = 1 << 13  # headroom: field sums stay clear of the guard bits
+# Groebner input takes exponents below 2^13; products may grow to 2^15
+# before the reducer refuses them (Packing's growth bound)
+_PACK_BITS = 13
 
 
-def _packed_key_fn(order: MonomialOrder, shifts: tuple[int, ...]):
-    """Monomial-order key on packed exponents, as a single integer.
+def _packed_key_fn(order: MonomialOrder, pk: Packing):
+    """Monomial-order key on packed monomials, as a single integer.
 
     Bigger key = bigger monomial.  The order object itself, not its name,
     selects the key: only ``LEX``, ``GREVLEX`` and ``_ELIM_GREVLEX`` have
     one, and any other order is refused.
     """
-    if order is LEX:
-        return lambda raw: raw  # big-endian packing compares lexicographically
+    shift, shift1 = pk.shift, pk.shift + 1
     if order is GREVLEX:
-        def key(raw: int) -> int:
-            vals = [(raw >> s) & _FMASK for s in shifts]
-            k = sum(vals)
-            for x in reversed(vals):
-                k = (k << _W) | (_FMASK - x)
-            return k
+        def key(m: int) -> int:
+            return ((m >> shift) << shift1) - m
         return key
     if order is _ELIM_GREVLEX:
-        def key(raw: int) -> int:
-            vals = [(raw >> s) & _FMASK for s in shifts]
-            k = (vals[0] << (2 * _W)) | sum(vals[1:])
-            for x in reversed(vals[1:]):
-                k = (k << _W) | (_FMASK - x)
+        # the first variable's exponent above the grevlex key, whose values
+        # lie in (-2^shift, 2^(2 shift))
+        fmask, top = pk.fmask, 2 * shift + 1
+
+        def key(m: int) -> int:
+            return ((m & fmask) << top) + ((m >> shift) << shift1) - m
+        return key
+    if order is LEX:
+        # the fields in reverse, so that x_1 is the most significant
+        width, fmask, nvars = pk.width, pk.fmask, pk.nvars
+
+        def key(m: int) -> int:
+            k = 0
+            for _ in range(nvars):
+                k = (k << width) | (m & fmask)
+                m >>= width
             return k
         return key
     raise ValueError(f"monomial order {order!r} has no packed key; the reducer "
@@ -161,12 +166,16 @@ def _packed_key_fn(order: MonomialOrder, shifts: tuple[int, ...]):
 
 
 class _Reducer:
-    """Division engine for a fixed divisor list.
+    """Division engine for a growing divisor list, on packed monomials.
 
-    Exponent vectors are packed into single integers (16 bits per variable),
+    Monomials use the engine's ``Packing`` (exponents below 2^13 on input),
     so a monomial product is one addition and a divisibility test is one
-    guarded subtraction.  Input exponents must stay below 2^13, and the order
-    must have a packed key; anything else raises ValueError.
+    guarded subtraction.  Each divisor is kept monic, as its packed leading
+    monomial in ``lms`` and its tail, a list of (packed monomial, coefficient)
+    pairs, in ``tails``; ``_buchberger`` keeps its whole basis here, and only
+    ``pack_terms`` and ``to_poly`` convert to and from ``Poly`` terms.  An
+    input exponent of 2^13 or more, a product exponent of 2^15 or more, or an
+    order without a packed key raises ValueError.
 
     Standard expression contract: every quotient term q satisfies
     in(q * g_t) <= in(f), and no monomial of the remainder is divisible by
@@ -177,49 +186,55 @@ class _Reducer:
         self.ring = ring
         self.order = order
         self.p = ring.char
-        n = ring.nvars
-        self.shifts = tuple(_W * (n - 1 - i) for i in range(n))
-        self.guards = 0
-        for s in self.shifts:
-            self.guards |= 1 << (s + _W - 1)
-        self.keyfn = _packed_key_fn(order, self.shifts)
+        self.pk = Packing(ring.nvars, _PACK_BITS)
+        self.keyfn = _packed_key_fn(order, self.pk)
         self.lms: list[int] = []
         self.tails: list[list[tuple[int, int]]] = []
 
-    # -- packing ---------------------------------------------------------------
+    # -- conversion --------------------------------------------------------------
 
-    def pack(self, e: Exponents) -> int:
-        v = 0
-        for x, s in zip(e, self.shifts):
-            if x >= _PACK_LIMIT:
-                raise ValueError(f"exponent {x} is out of range: the packed reducer needs exponents below 2^13")
-            v |= x << s
-        return v
+    def pack_terms(self, terms: Mapping[Exponents, int]) -> dict[int, int]:
+        pack = self.pk.pack
+        return {pack(e): c for e, c in terms.items()}
 
-    def unpack(self, raw: int) -> Exponents:
-        return tuple((raw >> s) & _FMASK for s in self.shifts)
+    def to_poly(self, terms: dict[int, int]) -> Poly:
+        unpack = self.pk.unpack
+        return Poly(self.ring, {unpack(m): c for m, c in terms.items()}, _normalized=True)
 
     # -- divisors ----------------------------------------------------------------
 
+    def add_monic(self, terms: dict[int, int]) -> None:
+        """Append the nonzero polynomial ``terms`` (consumed), made monic."""
+        p = self.p
+        lm = max(terms, key=self.keyfn)
+        c = terms.pop(lm)
+        if c != 1:
+            inv = pow(c, p - 2, p)
+            terms = {m: v * inv % p for m, v in terms.items()}
+        self.lms.append(lm)
+        self.tails.append(list(terms.items()))
+
     def add_divisor(self, g: Poly) -> None:
-        lm = g.leading_monomial(self.order)
-        self.lms.append(self.pack(lm))
-        self.tails.append([(self.pack(e), c) for e, c in g.terms.items() if e != lm])
+        """Append a monic polynomial."""
+        self.add_monic(self.pack_terms(g.terms))
 
     # -- reduction -----------------------------------------------------------------
 
-    def reduce(self, fterms, want_quotients: bool = False, skip: int | None = None):
-        """(quotient dicts or None, remainder dict), exponent-tuple keyed."""
+    def reduce(self, work: dict[int, int], want_quotients: bool = False, skip: int | None = None):
+        """(quotient dicts or None, remainder dict) of the packed polynomial
+        ``work``, which is consumed; all keys are packed monomials."""
         p = self.p
         keyfn = self.keyfn
-        guards = self.guards
+        guards = self.pk.guards
+        overflow = self.pk.overflow
         lms = self.lms
         tails = self.tails
         nq = len(lms)
-        work: dict[int, int] = {}
-        for e, c in fterms.items():
-            work[self.pack(e)] = c
-        heap = [(-keyfn(m), m) for m in work]
+        heap = []
+        for m in work:
+            if m & overflow:
+                raise ValueError("exponent growth reached 2^15 inside the packed reducer")
+            heap.append((-keyfn(m), m))
         heapq.heapify(heap)
         push = heapq.heappush
         pop = heapq.heappop
@@ -246,10 +261,10 @@ class _Reducer:
                 qd[q] = (qd.get(q, 0) + c) % p
             for e, gc in tails[hit]:
                 me = q + e
-                if me & guards:
-                    raise ValueError("exponent growth reached 2^15 inside the packed reducer")
                 cur = work.get(me)
                 if cur is None:
+                    if me & overflow:
+                        raise ValueError("exponent growth reached 2^15 inside the packed reducer")
                     nc = (-c * gc) % p
                     if nc:
                         work[me] = nc
@@ -260,11 +275,7 @@ class _Reducer:
                         work[me] = nc
                     else:
                         del work[me]
-        unpack = self.unpack
-        rem_t = {unpack(m): c for m, c in rem.items()}
-        if quots is None:
-            return None, rem_t
-        return [{unpack(q): c for q, c in qd.items()} for qd in quots], rem_t
+        return quots, rem
 
 
 def _make_reducer(divisors: Sequence[Poly], order: MonomialOrder) -> _Reducer:
@@ -277,15 +288,14 @@ def _make_reducer(divisors: Sequence[Poly], order: MonomialOrder) -> _Reducer:
 
 
 def _reduce(f: Poly, divisors: Sequence[Poly], order: MonomialOrder, want_quotients: bool):
-    ring = f.ring
     if not divisors:
         return ([] if want_quotients else None), f
-    quots, rem = _make_reducer(divisors, order).reduce(f.terms, want_quotients)
-    r = Poly(ring, rem, _normalized=True)
+    red = _make_reducer(divisors, order)
+    quots, rem = red.reduce(red.pack_terms(f.terms), want_quotients)
+    r = red.to_poly(rem)
     if quots is None:
         return None, r
-    qs = [Poly(ring, qd, _normalized=True) for qd in quots]
-    return qs, r
+    return [red.to_poly(qd) for qd in quots], r
 
 
 def divide(f: Poly, divisors: Sequence[Poly], order: MonomialOrder = GREVLEX) -> tuple[list[Poly], Poly]:
@@ -321,6 +331,24 @@ def s_polynomial(f: Poly, g: Poly, order: MonomialOrder = GREVLEX) -> Poly:
     return f.mul_term(1, exp_sub(lg, gcd)) - g.mul_term(1, exp_sub(lf, gcd))
 
 
+def _s_pair(red: _Reducer, i: int, j: int, lcm: int) -> dict[int, int]:
+    """The S-polynomial of the reducer's monic divisors i and j, whose
+    leading monomials have the packed lcm ``lcm``, as packed terms: the
+    leading terms cancel, so it is (lcm - lm_i) * tail_i - (lcm - lm_j) * tail_j."""
+    p = red.p
+    a = lcm - red.lms[i]
+    b = lcm - red.lms[j]
+    s = {a + e: c for e, c in red.tails[i]}
+    for e, c in red.tails[j]:
+        m = b + e
+        nc = (s.get(m, 0) - c) % p
+        if nc:
+            s[m] = nc
+        else:
+            del s[m]
+    return s
+
+
 def buchberger_iteration(
     basis: Sequence[Poly],
     order: MonomialOrder = GREVLEX,
@@ -346,22 +374,23 @@ def buchberger_iteration(
         polys = [g for g in polys if g.degree() <= degree_cap]
 
     out = list(polys)
+    if len(polys) < 2:
+        return out
     seen = set(out)
-    lms = [g.leading_monomial(order) for g in polys]
-    # one reducer for the round, built at the first reduction and extended
-    # as ``out`` grows
-    red: _Reducer | None = None
+    # one reducer for the round, extended as ``out`` grows; its first
+    # divisors are the inputs, whose S-pairs it forms on packed terms
+    red = _make_reducer(polys, order)
+    lms = red.lms
     for i, j in combinations(range(len(polys)), 2):
-        if degree_cap is not None and exp_deg(exp_lcm(lms[i], lms[j])) > degree_cap:
+        lcm = red.pk.lcm(lms[i], lms[j])
+        if degree_cap is not None and red.pk.deg(lcm) > degree_cap:
             continue
-        s = s_polynomial(polys[i], polys[j], order)
-        if s.is_zero:
+        s = _s_pair(red, i, j, lcm)
+        if not s:
             continue
-        if red is None:
-            red = _make_reducer(out, order)
-        _, rem = red.reduce(s.terms)
+        _, rem = red.reduce(s)
         if rem:
-            r = Poly(s.ring, rem, _normalized=True).monic(order)
+            r = red.to_poly(rem).monic(order)
             if r not in seen:
                 seen.add(r)
                 out.append(r)
@@ -394,33 +423,32 @@ def truncated_initial_generators(I: Ideal, order: MonomialOrder, delta: int) -> 
 # full Groebner bases
 # ---------------------------------------------------------------------------
 
-def _interreduce(G: Sequence[Poly], order: MonomialOrder) -> list[Poly]:
-    """Reduced basis: minimal leading monomials, fully tail-reduced, monic,
-    sorted by increasing leading monomial."""
-    uniq = sorted(set(g.monic(order) for g in G if not g.is_zero), key=lambda g: order.key(g.leading_monomial(order)))
-    if not uniq:
-        return []
-    ring = uniq[0].ring
-    minimal: list[Poly] = []
-    min_lms: list[Exponents] = []
-    for g in uniq:
-        lm = g.leading_monomial(order)
-        if not any(exp_divides(h, lm) for h in min_lms):
-            minimal.append(g)
-            min_lms.append(lm)
-    if len(minimal) == 1:
-        return minimal
-    red = _make_reducer(minimal, order)
+def _interreduce(red: _Reducer) -> list[Poly]:
+    """The reduced basis of the reducer's divisors: minimal leading
+    monomials, fully tail-reduced, monic, sorted by increasing leading
+    monomial.  Only the result is converted to ``Poly``."""
+    keyfn, divides = red.keyfn, red.pk.divides
+    minimal = _Reducer(red.ring, red.order)
+    for t in sorted(range(len(red.lms)), key=lambda t: keyfn(red.lms[t])):
+        lm = red.lms[t]
+        if not any(divides(h, lm) for h in minimal.lms):
+            minimal.lms.append(lm)
+            minimal.tails.append(red.tails[t])
     out = []
-    for i, g in enumerate(minimal):
-        _, rem = red.reduce(g.terms, skip=i)
-        out.append(Poly(ring, rem, _normalized=True).monic(order))
-    out.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    for i, lm in enumerate(minimal.lms):
+        work = dict(minimal.tails[i])
+        if len(minimal.lms) > 1:
+            _, work = minimal.reduce(work, skip=i)
+        work[lm] = 1
+        g = minimal.to_poly(work)
+        g._lead = (red.order, red.pk.unpack(lm))  # fill Poly's cache: lm is known
+        out.append(g)
     return out
 
 
 def _buchberger(polys: Sequence[Poly], order: MonomialOrder, use_criterion: bool) -> list[Poly]:
-    """Pair-queue Buchberger with the Gebauer-Moeller update.
+    """Pair-queue Buchberger with the Gebauer-Moeller update, on packed
+    monomials from the first S-pair to the interreduced basis.
 
     Normal selection: the pending pair (i, j) with the smallest lcm by
     ``order.key`` goes first, ties broken by (i, j).  Each new element h,
@@ -438,7 +466,9 @@ def _buchberger(polys: Sequence[Poly], order: MonomialOrder, use_criterion: bool
       pairs; the reducer keeps every element as a divisor.
 
     With ``use_criterion=False`` the update keeps every pair and every
-    element active: every S-pair is reduced.
+    element active: every S-pair is reduced.  The basis lives in the
+    reducer as packed (leading monomial, tail) pairs; two leading monomials
+    are coprime exactly when their packed lcm is their packed product.
     """
     G: list[Poly] = []
     seen = set()
@@ -450,51 +480,47 @@ def _buchberger(polys: Sequence[Poly], order: MonomialOrder, use_criterion: bool
                 G.append(m)
     if not G:
         return []
-    ring = G[0].ring
-    zero_exp = (0,) * ring.nvars
     red = _make_reducer(G, order)
-    lms = [g.leading_monomial(order) for g in G]
-    pairs: list[tuple[tuple[int, ...], int, int]] = []
-    live: dict[tuple[int, int], Exponents] = {}
+    lms = red.lms
+    lcm_of, divides, keyfn = red.pk.lcm, red.pk.divides, red.keyfn
+    pairs: list[tuple[int, int, int]] = []
+    live: dict[tuple[int, int], int] = {}
     active: list[int] = []
 
     def update(k: int) -> None:
         h = lms[k]
-        new = [(t, exp_lcm(lms[t], h)) for t in active]
+        new = [(t, lcm_of(lms[t], h)) for t in active]
         if use_criterion:
             for (a, b), lcm in list(live.items()):
-                if exp_divides(h, lcm) and exp_lcm(lms[a], h) != lcm and exp_lcm(lms[b], h) != lcm:
+                if divides(h, lcm) and lcm_of(lms[a], h) != lcm and lcm_of(lms[b], h) != lcm:
                     del live[(a, b)]
             kept = []
             for n, (t, lcm) in enumerate(new):
-                if exp_gcd(lms[t], h) == zero_exp or not any(
-                        exp_divides(other, lcm) for _, other in kept + new[n + 1:]):
+                if lcm == lms[t] + h or not any(divides(other, lcm) for _, other in kept + new[n + 1:]):
                     kept.append((t, lcm))
-            new = [(t, lcm) for t, lcm in kept if exp_gcd(lms[t], h) != zero_exp]
-            active[:] = [t for t in active if not exp_divides(h, lms[t])]
+            new = [(t, lcm) for t, lcm in kept if lcm != lms[t] + h]
+            active[:] = [t for t in active if not divides(h, lms[t])]
         for t, lcm in new:
             live[(t, k)] = lcm
-            heapq.heappush(pairs, (order.key(lcm), t, k))
+            heapq.heappush(pairs, (keyfn(lcm), t, k))
         active.append(k)
 
     for k in range(len(G)):
         update(k)
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        if live.pop((i, j), None) is None:
+        lcm = live.pop((i, j), None)
+        if lcm is None:
             continue
-        s = s_polynomial(G[i], G[j], order)
-        if s.is_zero:
+        s = _s_pair(red, i, j, lcm)
+        if not s:
             continue
-        _, rem = red.reduce(s.terms)
+        _, rem = red.reduce(s)
         if not rem:
             continue
-        r = Poly(ring, rem, _normalized=True).monic(order)
-        G.append(r)
-        red.add_divisor(r)
-        lms.append(r.leading_monomial(order))
-        update(len(G) - 1)
-    return _interreduce(G, order)
+        red.add_monic(rem)
+        update(len(lms) - 1)
+    return _interreduce(red)
 
 
 def groebner_basis(I: Ideal, order: MonomialOrder = GREVLEX, use_criterion: bool = True) -> GBasis:

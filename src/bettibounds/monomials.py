@@ -11,7 +11,21 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .polyring import Exponents, exp_divides, exp_gcd, exp_lcm, exp_sub
+from .polyring import Exponents, Packing, exp_divides, exp_gcd, exp_lcm, exp_sub
+
+
+def _minimal_packed(packed: Iterable[int], guards: int) -> list[int]:
+    """The packed monomials, distinct and in nondecreasing degree, that no
+    earlier one divides (the guarded subtraction of ``Packing.divides``)."""
+    kept: list[int] = []
+    for m in packed:
+        mg = m | guards
+        for h in kept:
+            if (mg - h) & guards == guards:
+                break
+        else:
+            kept.append(m)
+    return kept
 
 
 def minimalize(gens: Iterable[Exponents]) -> tuple[Exponents, ...]:
@@ -95,16 +109,27 @@ def quotient_dimension(gens: Sequence[Exponents], nvars: int) -> int:
     return 0
 
 
-def lcm_closure(gens: Sequence[Exponents], limit: int = 500_000) -> set[Exponents]:
-    """All lcms of subsets of gens (the join closure under componentwise max)."""
-    gens = minimalize(gens)
-    closure: set[Exponents] = set(gens)
+def lcm_closure(gens: Sequence[int], pk: Packing, limit: int = 500_000) -> set[int]:
+    """All lcms of nonempty subsets of gens, packed by ``pk``: the join
+    closure under componentwise max.
+
+    ``gens`` are the packed minimal generators.  The max is SWAR over the
+    guard bits of ``pk``, as in ``Packing.lcm``; a closure of more than
+    ``limit`` monomials raises RuntimeError.
+    """
+    guards, emask, ones, fmask = pk.guards, pk.emask, pk.ones, pk.fmask
+    low, top, shift = pk.width - 1, pk.shift - pk.width, pk.shift
+    closure: set[int] = set(gens)
     frontier = list(gens)
     while frontier:
         nxt = []
         for a in frontier:
+            ag = a | guards
             for g in gens:
-                j = exp_lcm(a, g)
+                d = (ag - g) & guards
+                pick = (d << 1) - (d >> low)
+                e = (g ^ ((a ^ g) & pick)) & emask
+                j = ((((e * ones) >> top) & fmask) << shift) | e
                 if j not in closure:
                     closure.add(j)
                     nxt.append(j)
@@ -137,33 +162,55 @@ def hilbert_numerator(gens: Sequence[Exponents], nvars: int) -> dict[int, int]:
     with J = J' + (u) there is an exact sequence identifying K(S/J) with
     K(S/J') - z^deg(u) * K(S/(J':u)).  Pairwise-coprime generators short-cut
     to a product of (1 - z^d) factors.
-    """
-    memo: dict[tuple[Exponents, ...], dict[int, int]] = {}
 
-    def run(gs: tuple[Exponents, ...]) -> dict[int, int]:
+    The recursion runs on monomials packed with the width of the largest
+    exponent present: x^g : x^u keeps g_t - u_t in the fields where the
+    guarded subtraction (g | guards) - u keeps its guard bit and 0 elsewhere,
+    and supports are the guard bits of (g | guards) - (1, ..., 1).
+    """
+    gens = minimalize(gens)
+    if not gens:
+        return {0: 1}
+    pk = Packing.for_exponents(nvars, gens)
+    guards, ones, emask, fmask = pk.guards, pk.ones, pk.emask, pk.fmask
+    low, top, shift = pk.width - 1, pk.shift - pk.width, pk.shift
+    memo: dict[tuple[int, ...], dict[int, int]] = {}
+
+    def colon(g: int, u: int) -> int:
+        d = (g | guards) - u
+        sel = d & guards
+        e = d & (((sel << 1) - (sel >> low)) ^ sel)
+        return ((((e * ones) >> top) & fmask) << shift) | e
+
+    def run(gs: tuple[int, ...]) -> dict[int, int]:
+        # gs: minimal, in increasing packed order (so by degree first)
         if not gs:
             return {0: 1}
-        if any(sum(g) == 0 for g in gs):
+        if not gs[0]:
             return {}
         if gs in memo:
             return memo[gs]
-        supports = [frozenset(i for i, x in enumerate(g) if x) for g in gs]
-        if all(supports[i].isdisjoint(supports[j]) for i in range(len(gs)) for j in range(i + 1, len(gs))):
+        seen = 0
+        for g in gs:
+            supp = ((g & emask) | guards) - ones & guards
+            if seen & supp:
+                break
+            seen |= supp
+        else:
             out = {0: 1}
             for g in gs:
-                out = _poly_sub_shifted(out, out, sum(g))
+                out = _poly_sub_shifted(out, out, g >> shift)
             memo[gs] = out
             return out
         u = gs[-1]
         rest = gs[:-1]
         a = run(rest)
-        b = run(minimalize(colon_by_monomial(rest, u)))
-        out = _poly_sub_shifted(a, b, sum(u))
+        b = run(tuple(_minimal_packed(sorted({colon(g, u) for g in rest}), guards)))
+        out = _poly_sub_shifted(a, b, u >> shift)
         memo[gs] = out
         return out
 
-    ordered = tuple(sorted(minimalize(gens), key=lambda e: (sum(e), e)))
-    return run(ordered)
+    return run(tuple(sorted(pk.pack(g) for g in gens)))
 
 
 def hilbert_function(gens: Sequence[Exponents], nvars: int, d: int) -> int:

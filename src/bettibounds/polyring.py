@@ -1,7 +1,8 @@
 """Sparse polynomial arithmetic over a prime field, with the standard grading.
 
-A monomial is a dense tuple of nonnegative exponents, one entry per variable.
-A polynomial maps monomials to nonzero coefficients in F_p.  The ambient ring
+A monomial is a dense tuple of nonnegative exponents, one entry per variable;
+inside the engine's loops it is packed into one integer (``Packing``).  A
+polynomial maps monomials to nonzero coefficients in F_p.  The ambient ring
 fixes the number of variables and the characteristic; every variable has
 degree one.  All values are immutable after construction and every operation
 returns a fresh object, so they can be shared freely between threads.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, le, sub
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -61,6 +62,83 @@ def exp_lcm(a: Exponents, b: Exponents) -> Exponents:
 
 def exp_gcd(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(min, a, b))
+
+
+class Packing:
+    """The engine's monomial encoding: an exponent vector packed into one int.
+
+    Variable i (from 0) sits in the field of ``width`` bits at bit i * width,
+    so the exponents are stored in reversed order (x_N in the highest field),
+    and the total degree sits above every field, from bit ``shift`` up.  The
+    encoding is additive: x^a * x^b packs to P(a) + P(b), and x^a / x^b to
+    P(a) - P(b) when x^b divides x^a.
+
+    ``pack`` accepts exponents below 2^bits.  Each field has room for values
+    below ``growth`` = 2^(bits + 2), which callers that multiply monomials
+    check with ``overflow``; the top bit of a field is a guard bit that no
+    packed monomial sets, and a field is wide enough to hold the sum of two
+    values below ``growth`` and the degree of a monomial whose fields are
+    all below ``growth``.  Divisibility,
+    lcm and the grevlex key are then a few operations on the whole integer
+    (SWAR: per-field arithmetic on one wide integer):
+
+    * x^a | x^b iff ((P(b) | guards) - P(a)) keeps every guard bit;
+    * lcm: the guard bits of (P(a) | guards) - P(b) mark the fields where
+      a_i >= b_i, which select a_i or b_i; the degree of the lcm, the sum of
+      its fields, is the top field of its exponent part times
+      (1 + 2^width + 2^(2 width) + ...);
+    * grevlex: compare (degree, -e_N, ..., -e_1), that is the integer
+      2 * (degree << shift) - P (``groebner._packed_key_fn``).
+    """
+
+    __slots__ = ("nvars", "bits", "width", "shift", "fmask", "emask", "guards", "ones", "overflow")
+
+    def __init__(self, nvars: int, bits: int):
+        growth = 1 << (bits + 2)
+        width = max(bits + 3, (nvars * (growth - 1)).bit_length())
+        self.nvars = nvars
+        self.bits = bits
+        self.width = width
+        self.shift = nvars * width
+        self.fmask = (1 << width) - 1
+        self.emask = (1 << self.shift) - 1
+        self.ones = sum(1 << (width * i) for i in range(nvars))
+        self.guards = self.ones << (width - 1)
+        # the bits of each field from ``growth`` up, guard bit included
+        self.overflow = self.ones * (((1 << width) - 1) ^ (growth - 1))
+
+    @classmethod
+    def for_exponents(cls, nvars: int, exps: Iterable[Exponents]) -> "Packing":
+        """The packing whose field width follows the largest exponent present."""
+        return cls(nvars, max((max(e, default=0) for e in exps), default=0).bit_length())
+
+    def pack(self, e: Exponents) -> int:
+        v = 0
+        width = self.width
+        limit = 1 << self.bits
+        for i, x in enumerate(e):
+            if x >= limit:
+                raise ValueError(f"exponent {x} is out of range: packed monomials here need exponents below 2^{self.bits}")
+            v |= x << (width * i)
+        return v | (sum(e) << self.shift)
+
+    def unpack(self, m: int) -> Exponents:
+        width, fmask = self.width, self.fmask
+        return tuple((m >> (width * i)) & fmask for i in range(self.nvars))
+
+    def deg(self, m: int) -> int:
+        return m >> self.shift
+
+    def divides(self, a: int, b: int) -> bool:
+        """True when the monomial packed as a divides the one packed as b."""
+        guards = self.guards
+        return ((b | guards) - a) & guards == guards
+
+    def lcm(self, a: int, b: int) -> int:
+        d = ((a | self.guards) - b) & self.guards
+        pick = (d << 1) - (d >> (self.width - 1))
+        e = (b ^ ((a ^ b) & pick)) & self.emask
+        return ((((e * self.ones) >> (self.shift - self.width)) & self.fmask) << self.shift) | e
 
 
 # ---------------------------------------------------------------------------

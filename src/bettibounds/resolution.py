@@ -23,16 +23,18 @@ from typing import Sequence
 
 from . import monomials
 from .groebner import (
+    GBasis,
     Ideal,
     QuotientBasis,
     draw_certified_form,
     hilbert_numerator_of,
     initial_exponents,
     quotient_dimension,
+    reduced_gb,
     truncated_initial_generators,
 )
 from .linalg import rank_mod_p
-from .polyring import GREVLEX, Exponents, Poly, exp_deg, exp_divides, exp_lcm, exp_sub
+from .polyring import GREVLEX, Exponents, Packing, Poly, PolyRing, exp_deg, exp_lcm, exp_sub
 
 
 class IncompleteTableError(RuntimeError):
@@ -324,6 +326,11 @@ def monomial_betti(gens: Sequence[Exponents], nvars: int, char: int) -> BettiTab
     only 0 and 1.  The surviving subsets are numbered by size in ascending
     mask order; each boundary column is a sparse vector {row: +-1} over them,
     and its rank over F_p comes from ``linalg.rank_mod_p``.
+
+    Monomials are packed (``polyring.Packing``) with a field width taken
+    from the largest exponent present, so the lcm closure is a SWAR max, and
+    for a divisor g of a the guard bits of (a | guards) - g, less one in
+    each field, mark supp(a) minus T_g in a single subtraction.
     """
     gens = monomials.minimalize(gens)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
@@ -332,18 +339,29 @@ def monomial_betti(gens: Sequence[Exponents], nvars: int, char: int) -> BettiTab
     if any(sum(g) == 0 for g in gens):
         raise ValueError("unit ideal")
     p = char
-    for a in monomials.lcm_closure(gens):
-        supp = [t for t in range(nvars) if a[t] > 0]
+    pk = Packing.for_exponents(nvars, gens)
+    packed = [pk.pack(g) for g in gens]
+    guards, ones, emask = pk.guards, pk.ones, pk.emask
+    field_guards = [1 << (pk.width * t + pk.width - 1) for t in range(nvars)]
+    for a in monomials.lcm_closure(packed, pk):
+        ag = a | guards
+        # guard bits of the fields where a is nonzero, one per support variable
+        nonzero = ((a & emask) | guards) - ones & guards
+        supp = [bit for bit in field_guards if nonzero & bit]
         k = len(supp)
+        # the complements supp(a) minus T_g as guard bits: (a | guards) - g
+        # keeps every guard bit when g | a, and a field of it exceeds its
+        # guard bit exactly where g_t < a_t
+        frees = set()
+        for g in packed:
+            d = ag - g
+            if d & guards == guards:
+                frees.add((d & emask) - ones & guards)
         # index[L] is -1 for a dead subset, else L's position among the
         # alive subsets of its size
-        full = (1 << k) - 1
         index = [0] * (1 << k)
-        for tight in {
-            sum(1 << s for s, t in enumerate(supp) if g[t] == a[t])
-            for g in gens if exp_divides(g, a)
-        }:
-            free = full ^ tight
+        for spread in frees:
+            free = sum(1 << s for s, bit in enumerate(supp) if spread & bit)
             sub = free
             while True:
                 index[sub] = -1
@@ -373,7 +391,7 @@ def monomial_betti(gens: Sequence[Exponents], nvars: int, char: int) -> BettiTab
                 if col:
                     cols.append(col)
             ranks[i] = rank_mod_p(cols, p)
-        j = exp_deg(a)
+        j = pk.deg(a)
         for i in range(1, k + 1):
             dim_i = len(sizes[i])
             if not dim_i:
@@ -417,24 +435,51 @@ def lift_section_table(B: BettiTable, forms: int, nvars: int) -> BettiTable:
 # Koszul homology, general homogeneous ideals
 # ---------------------------------------------------------------------------
 
-def _regular_reduce(I: Ideal, seed: int, max_cuts: int | None = None) -> tuple[Ideal, int]:
-    """Cut S/I by verified-regular random linear forms as long as they exist.
+def _last_variable_cut(I: Ideal) -> Ideal | None:
+    """The image of I in S/(x_N) when x_N is regular on S/I, else None.
 
-    Each accepted form is certified through Hilbert series numerators, which
-    leaves every graded Betti number unchanged; the count returned is a lower
-    bound for depth(S/I) that is sharp with overwhelming probability.  Three
-    failed certificates in a row signal exhausted depth (each certificate is
-    exact; a random non-generic draw has probability O(deg/p)).  A nonzero
-    Artinian quotient has depth 0, so the cutting stops there without a draw.
+    For grevlex and homogeneous I, in(I + (x_N)) = in(I) + (x_N) and
+    in(I : x_N) = in(I) : x_N (Bayer & Stillman, Invent. Math. 87, 1987;
+    Eisenbud, Commutative Algebra, Prop. 15.12).  So x_N is regular on S/I
+    exactly when it divides no leading monomial of the reduced grevlex basis,
+    and then that basis with x_N set to 0 is the reduced grevlex basis of the
+    image, which is cached on it: the cut needs no new basis.
+    """
+    ring = I.ring
+    gb = reduced_gb(I, GREVLEX)
+    if any(lm[-1] for lm in gb.leading_monomials()):
+        return None
+    small = PolyRing(ring.nvars - 1, ring.char, ring.names[:-1])
+    elements = [Poly(small, {e[:-1]: c for e, c in g.terms.items() if not e[-1]}, _normalized=True)
+                for g in gb.elements]
+    image = Ideal(small, elements)
+    image._cache[("gb", GREVLEX)] = GBasis(image.gens, GREVLEX)
+    return image
+
+
+def _regular_reduce(I: Ideal, seed: int, max_cuts: int | None = None) -> tuple[Ideal, int]:
+    """Cut S/I by certified regular linear forms as long as they exist.
+
+    Each cut leaves every graded Betti number unchanged.  It is x_N when
+    ``_last_variable_cut`` shows it regular; otherwise a random form
+    certified through Hilbert series numerators.  The count returned is a
+    lower bound for depth(S/I) that is sharp with overwhelming probability.
+    Three failed certificates in a row signal exhausted depth (each
+    certificate is exact; a random non-generic draw has probability
+    O(deg/p)).  A nonzero Artinian quotient has depth 0, so the cutting stops
+    there without a draw.
     """
     rng = random.Random(0x5EC71 ^ seed)
     cur = I
     cuts = 0
     while cur.ring.nvars > 1 and (max_cuts is None or cuts < max_cuts) and quotient_dimension(cur) > 0:
-        drawn = draw_certified_form(cur, rng, 3, need_regular=True)
-        if drawn is None:
-            break
-        cur = drawn[2]
+        image = _last_variable_cut(cur)
+        if image is None:
+            drawn = draw_certified_form(cur, rng, 3, need_regular=True)
+            if drawn is None:
+                break
+            image = drawn[2]
+        cur = image
         cuts += 1
     return cur, cuts
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,10 +7,13 @@ from hypothesis import strategies as st
 
 from bettibounds import groebner
 from bettibounds.groebner import (
+    _ELIM_GREVLEX,
+    _PACK_BITS,
     Ideal,
     _buchberger,
     _elim_order,
     _lift,
+    _packed_key_fn,
     buchberger_iteration,
     contains_poly,
     divide,
@@ -30,7 +34,17 @@ from bettibounds.groebner import (
     substitute_linear_form,
     truncated_initial_generators,
 )
-from bettibounds.polyring import GREVLEX, LEX, Poly, PolyRing, apply_linear_change, mat_inv_mod
+from bettibounds.polyring import (
+    GREVLEX,
+    LEX,
+    Packing,
+    Poly,
+    PolyRing,
+    apply_linear_change,
+    exp_mul,
+    format_poly,
+    mat_inv_mod,
+)
 from bettibounds.verifier import InstanceSpec, generate_instance
 
 R2 = PolyRing(2, 32003, ("x", "y"))
@@ -216,6 +230,15 @@ def test_gebauer_moeller_update_keeps_reduced_basis(data):
     assert _buchberger(lifted, elim, True) == _buchberger(lifted, elim, False)
 
 
+# sha256 of each reduced basis printed one element a line, taken before the
+# Buchberger loop moved onto packed monomials
+_BASIS_DIGESTS = {
+    "random-homogeneous/N6g5D3s2024006197": "888741e6a2c7471c22f0ec77bb30912b84d4dd7a8ab13065e078bbb503d18a5b",
+    "complete-intersection/N5g5D4s2024006550": "f53b5927ed3465108c1e7566e21288cccfb59c2d0d6804490ce08bee4801f729",
+    "complete-intersection/N6g6D3s2024006449": "fc5912a777a8a3a2988494b7009bd5df3cef57f033326a365f0e830cc6507cfe",
+}
+
+
 @pytest.mark.parametrize("spec,reductions,size", [
     (InstanceSpec("random-homogeneous", 6, 5, 3, seed=2024006197), 268, 76),
     (InstanceSpec("complete-intersection", 5, 5, 4, seed=2024006550), 126, 47),
@@ -223,18 +246,22 @@ def test_gebauer_moeller_update_keeps_reduced_basis(data):
 ], ids=lambda v: v.label() if isinstance(v, InstanceSpec) else None)
 def test_groebner_basis_s_polynomial_count_is_pinned(spec, reductions, size, monkeypatch):
     # instances of the seed-2024 corpus; the product criterion alone forms
-    # 2,652, 1,076 and 391 S-polynomials for the same bases
+    # 2,652, 1,076 and 391 S-polynomials for the same bases.  The loop forms
+    # its S-pairs on packed terms through ``_s_pair``, which is counted.
     I, _ = generate_instance(spec)
     calls = []
-    orig = groebner.s_polynomial
+    orig = groebner._s_pair
 
-    def counting(f, g, order=GREVLEX):
+    def counting(red, i, j, lcm):
         calls.append(1)
-        return orig(f, g, order)
+        return orig(red, i, j, lcm)
 
-    monkeypatch.setattr(groebner, "s_polynomial", counting)
-    assert len(groebner_basis(I)) == size
+    monkeypatch.setattr(groebner, "_s_pair", counting)
+    gb = groebner_basis(I)
+    assert len(gb) == size
     assert len(calls) == reductions
+    text = "\n".join(format_poly(g) for g in gb)
+    assert hashlib.sha256(text.encode()).hexdigest() == _BASIS_DIGESTS[spec.label()]
 
 
 def test_groebner_fixpoint_oracle():
@@ -419,3 +446,25 @@ def test_reduced_gb_cache_is_keyed_by_the_order_object():
     # an order that only shares grevlex's name gets no cached grevlex basis
     with pytest.raises(ValueError, match="no packed key"):
         reduced_gb(I, MonomialOrder("grevlex", LEX.key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_order_keys_match_tuple_keys(data):
+    n = data.draw(st.integers(1, 12))
+    entry = st.one_of(st.integers(0, 3), st.integers(0, (1 << _PACK_BITS) - 1))
+    vec = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    a, c, d = data.draw(vec), data.draw(vec), data.draw(vec)
+    # a permutation of a has its degree, so the tie-breaks come up
+    b = tuple(data.draw(st.permutations(a))) if data.draw(st.booleans()) else data.draw(vec)
+    pk = Packing(n, _PACK_BITS)
+    P = pk.pack
+    # input monomials, and products of two as the reducer forms them
+    cases = [(a, P(a), b, P(b)),
+             (exp_mul(a, c), P(a) + P(c), exp_mul(b, d), P(b) + P(d)),
+             (a, P(a), exp_mul(a, c), P(a) + P(c))]
+    for order in (GREVLEX, LEX, _ELIM_GREVLEX):
+        key = _packed_key_fn(order, pk)
+        for u, pu, v, pv in cases:
+            ku, kv = key(pu), key(pv)
+            assert (ku > kv) - (ku < kv) == order.compare(u, v)

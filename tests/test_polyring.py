@@ -1,14 +1,19 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bettibounds.polyring import (
     GREVLEX,
     LEX,
     MonomialOrder,
+    Packing,
     Poly,
     PolyRing,
     apply_linear_change,
+    exp_deg,
+    exp_divides,
+    exp_lcm,
+    exp_mul,
     format_poly,
     mat_inv_mod,
     order_by_name,
@@ -206,3 +211,60 @@ def test_leading_term_multiplicative(seed):
         cp, mp = (f * g).leading_term(order)
         assert mp == tuple(a + b for a, b in zip(mf, mg))
         assert cp == (cf * cg) % 32003
+
+
+# ---------------------------------------------------------------------------
+# the packed monomial encoding
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _exponent_pairs(draw, top: int):
+    """Two exponent vectors of one length in 1..12, entries up to ``top``;
+    the second is often a multiple of the first, so that divisibility holds
+    in about half the cases."""
+    n = draw(st.integers(1, 12))
+    vec = st.lists(st.integers(0, top), min_size=n, max_size=n).map(tuple)
+    a = draw(vec)
+    if draw(st.booleans()):
+        b = tuple(min(x + y, top) for x, y in zip(a, draw(vec)))
+    else:
+        b = draw(vec)
+    return a, b
+
+
+def _check_packed_helpers(pk: Packing, a, b) -> None:
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert pk.unpack(pa) == a and pk.unpack(pb) == b
+    assert pk.deg(pa) == exp_deg(a)
+    assert pk.divides(pa, pb) == exp_divides(a, b)
+    assert pk.divides(pb, pa) == exp_divides(b, a)
+    assert pk.lcm(pa, pb) == pk.pack(exp_lcm(a, b))
+    # additive: the product packs to the sum, within the growth bound
+    assert not (pa + pb) & pk.overflow
+    assert pk.unpack(pa + pb) == exp_mul(a, b) and pk.deg(pa + pb) == exp_deg(a) + exp_deg(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_pairs((1 << 13) - 1))
+@example(((8191,) * 12, (8190,) * 11 + (8191,)))  # a degree near 98,000 needs fields wider than 16 bits
+def test_packed_helpers_match_tuple_helpers(case):
+    # the packing of Groebner work: exponents below 2^13
+    a, b = case
+    _check_packed_helpers(Packing(len(a), 13), a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_pairs((1 << 40) - 1))
+@example((((1 << 40) - 1,) * 12, (1 << 39,) * 12))
+def test_packed_helpers_match_tuple_helpers_with_large_exponents(case):
+    # the monomial layer takes its field width from the largest exponent
+    a, b = case
+    _check_packed_helpers(Packing.for_exponents(len(a), [a, b]), a, b)
+
+
+def test_packing_refuses_exponents_beyond_its_bits():
+    pk = Packing(3, 13)
+    assert pk.unpack(pk.pack((0, 8191, 0))) == (0, 8191, 0)
+    with pytest.raises(ValueError, match=r"2\^13"):
+        pk.pack((0, 8192, 0))
+    assert Packing.for_exponents(3, [(20000, 1, 0), (0, 3, 40000)]).bits == 16

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bettibounds import monomials
-from bettibounds.groebner import Ideal, hilbert_numerator_of, reduced_gb
-from bettibounds.polyring import GREVLEX, Poly, PolyRing
+from bettibounds import resolution
+from bettibounds.groebner import Ideal, hilbert_numerator_of, reduced_gb, substitute_linear_form
+from bettibounds.polyring import GREVLEX, Packing, Poly, PolyRing, exp_lcm
 from bettibounds.resolution import (
     BettiTable,
     IncompleteTableError,
@@ -16,6 +17,8 @@ from bettibounds.resolution import (
     format_betti,
     koszul_betti,
     lift_section_table,
+    _last_variable_cut,
+    _regular_reduce,
     minimize_taylor,
     monomial_betti,
     taylor_complex,
@@ -122,6 +125,52 @@ def test_strands_match_minimized_taylor_with_higher_exponents(case):
     A = minimize_taylor(taylor_complex(gens, nvars=n))
     B = monomial_betti(gens, n, 32003)
     assert A.entries == B.entries, (gens, A.entries, B.entries)
+
+
+def _tuple_lcm_closure(gens):
+    # the join closure on exponent tuples, as computed before packing
+    closure = set(gens)
+    frontier = list(gens)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                j = exp_lcm(a, g)
+                if j not in closure:
+                    closure.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return closure
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(0, 3), st.integers(0, (1 << 30) - 1)), min_size=n, max_size=n).map(tuple),
+    min_size=1, max_size=6)))
+def test_packed_lcm_closure_matches_tuple_closure(gens):
+    gens = monomials.minimalize(gens)
+    pk = Packing.for_exponents(len(gens[0]), gens)
+    closure = monomials.lcm_closure([pk.pack(g) for g in gens], pk)
+    assert {pk.unpack(m) for m in closure} == _tuple_lcm_closure(gens)
+    assert all(pk.deg(m) == sum(pk.unpack(m)) for m in closure)
+
+
+def test_lcm_closure_limit_raises():
+    gens = [tuple(int(i == t) for i in range(6)) for t in range(6)]
+    pk = Packing.for_exponents(6, gens)
+    packed = [pk.pack(g) for g in gens]
+    assert len(monomials.lcm_closure(packed, pk)) == 63
+    with pytest.raises(RuntimeError, match="lcm closure too large"):
+        monomials.lcm_closure(packed, pk, limit=62)
+
+
+def test_large_exponent_strand_table_is_pinned():
+    # fields 20 bits wide: a fixed 16-bit packing would overflow here
+    gens = [(20000, 1, 0), (0, 3, 40000), (1, 0, 1)]
+    B = monomial_betti(gens, 3, 32003)
+    assert B.entries == {(0, 0): 1, (1, 2): 1, (1, 20001): 1, (1, 40003): 1, (2, 20002): 1, (2, 40004): 1}
+    assert (B.pd(), B.reg()) == (2, 40002)
+    assert koszul_betti(Ideal.monomial(R3, gens)) == B
 
 
 def _edge_graph(k):
@@ -336,3 +385,56 @@ def test_regular_reduce_draws_nothing_on_an_artinian_quotient(monkeypatch):
     table = koszul_betti(I, seed=3)
     assert calls == []
     assert table.entries == {(0, 0): 1, (1, 2): 3, (2, 4): 3, (3, 6): 1}
+
+
+def _random_homogeneous_ideal(rng, ring, ngens):
+    gens = []
+    for _ in range(ngens):
+        d = rng.randint(1, 3)
+        monos = [e for e in _monos(ring.nvars, d)]
+        support = rng.sample(monos, min(len(monos), rng.randint(1, 4)))
+        gens.append(Poly(ring, {e: rng.randrange(1, ring.char) for e in support}))
+    return Ideal(ring, gens)
+
+
+def _monos(n, d):
+    if n == 1:
+        yield (d,)
+        return
+    for first in range(d + 1):
+        for rest in _monos(n - 1, d - first):
+            yield (first,) + rest
+
+
+def test_last_variable_cut_restricts_the_reduced_basis():
+    # Bayer-Stillman: when x_N divides no leading monomial, the reduced
+    # basis with x_N = 0 is the reduced basis of the image
+    rng = random.Random(1987)
+    cuts = 0
+    for trial in range(60):
+        ring = PolyRing(rng.randint(2, 4), 101)
+        I = _random_homogeneous_ideal(rng, ring, rng.randint(1, ring.nvars))
+        image = _last_variable_cut(I)
+        lms = reduced_gb(I, GREVLEX).leading_monomials()
+        if image is None:
+            assert any(lm[-1] for lm in lms)
+            continue
+        cuts += 1
+        expected = reduced_gb(substitute_linear_form(I, ring.variable(ring.nvars - 1)), GREVLEX)
+        assert reduced_gb(image, GREVLEX).elements == expected.elements
+    assert cuts >= 20
+
+
+def test_regular_reduce_draws_when_the_last_variable_is_a_zero_divisor(monkeypatch):
+    # x*z is a minimal generator of in(I), so z is a zero divisor on S/I and
+    # the first cut takes a random draw
+    x, y, z = R3.variables()
+    I = Ideal(R3, [x * z, x * y + y * y])
+    assert _last_variable_cut(I) is None
+    drawn = []
+    real = resolution.draw_certified_form
+    monkeypatch.setattr(resolution, "draw_certified_form", lambda J, *a, **k: drawn.append(J) or real(J, *a, **k))
+    _, cuts = _regular_reduce(I, seed=5)
+    assert drawn and drawn[0] is I
+    assert cuts == 1
+    assert koszul_betti(I, seed=5) == koszul_betti(I, max_cuts=0)
