@@ -264,6 +264,26 @@ def test_groebner_basis_s_polynomial_count_is_pinned(spec, reductions, size, mon
     assert hashlib.sha256(text.encode()).hexdigest() == _BASIS_DIGESTS[spec.label()]
 
 
+def test_gebauer_moeller_drops_a_pending_pair(monkeypatch):
+    # xy - z^2 arrives third: its leading monomial xy divides the pending
+    # lcm x^2y^2 of the first two, and lcm(x^2y, xy) = x^2y and
+    # lcm(xy^2, xy) = xy^2 both differ from it, so that pair is dropped
+    x, y, z = R3.variables()
+    polys = [x * x * y - z * z * z, x * y * y - z * z * z, x * y - z * z]
+    calls = []
+    orig = groebner._s_pair
+
+    def counting(red, i, j, lcm):
+        calls.append((i, j))
+        return orig(red, i, j, lcm)
+
+    monkeypatch.setattr(groebner, "_s_pair", counting)
+    gb = _buchberger(polys, GREVLEX, True)
+    assert (0, 1) not in calls
+    assert len(calls) == 4
+    assert gb == _buchberger(polys, GREVLEX, False)
+
+
 def test_groebner_fixpoint_oracle():
     # iterating the literal procedure stabilizes on the same initial ideal
     for gens in ([X * X + Y * Y, X * Y], [X * X * X + Y * Y * Y, X * Y], [X + Y]):

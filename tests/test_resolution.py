@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bettibounds import monomials
+from bettibounds import linalg, monomials
 from bettibounds import resolution
 from bettibounds.groebner import Ideal, hilbert_numerator_of, reduced_gb, substitute_linear_form
 from bettibounds.polyring import GREVLEX, Packing, Poly, PolyRing, exp_lcm
@@ -220,6 +220,60 @@ def test_twelve_vertex_strand_tables_are_pinned():
         (6, 8): 229, (6, 9): 28, (7, 8): 8, (7, 9): 89, (7, 10): 12, (8, 9): 1, (8, 10): 20,
         (8, 11): 2, (9, 11): 2,
     }
+
+
+def _full_strand_betti(gens, nvars, p):
+    # every strand on all of its alive subsets L (x^(a - e_L) outside J), no
+    # Morse matching: the dead subsets are the submasks of supp(a) minus the
+    # tight set of each divisor g of x^a
+    gens = monomials.minimalize(gens)
+    entries = {(0, 0): 1}
+    for a in _tuple_lcm_closure(gens):
+        supp = [t for t in range(nvars) if a[t]]
+        k = len(supp)
+        dead = set()
+        for g in gens:
+            if all(g[t] <= a[t] for t in range(nvars)):
+                free = sum(1 << s for s, t in enumerate(supp) if g[t] < a[t])
+                dead.update(L for L in range(1 << k) if L & free == L)
+        levels = [[L for L in range(1 << k) if L.bit_count() == i and L not in dead] for i in range(k + 1)]
+        index = {L: r for level in levels for r, L in enumerate(level)}
+        ranks = [0] * (k + 2)
+        for i in range(1, k + 1):
+            cols = []
+            for L in levels[i]:
+                elements = [s for s in range(k) if L >> s & 1]
+                cols.append({index[L ^ 1 << s]: (-1) ** pos for pos, s in enumerate(elements)
+                             if L ^ 1 << s in index})
+            ranks[i] = linalg.rank_mod_p(cols, p)
+        for i in range(1, k + 1):
+            b = len(levels[i]) - ranks[i] - ranks[i + 1]
+            if b:
+                entries[(i, sum(a))] = entries.get((i, sum(a)), 0) + b
+    return entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=1, max_size=10))))
+def test_critical_cell_strands_match_the_full_alive_complex(case):
+    # up to 8 support variables per strand, where the Taylor oracle is slow
+    n, gens = case
+    assert monomial_betti(gens, n, 32003).entries == _full_strand_betti(gens, n, 32003), gens
+
+
+@pytest.mark.parametrize("n,gens", [
+    # pure powers: every tight set is a singleton
+    (4, [(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 3)]),
+    (8, [tuple(1 + s % 3 if t == s else 0 for t in range(8)) for s in range(8)]),
+    # symmetric ideals: at the full lcm every variable is avoided equally often
+    (3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]),
+    (4, [tuple(int(t in e) for t in range(4)) for e in combinations(range(4), 2)]),
+    (3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1), (1, 0, 1)]),
+    (6, [tuple(int(t == s) for t in range(6)) for s in range(6)]),
+])
+def test_critical_cell_strands_on_singleton_tight_sets_and_ties(n, gens):
+    assert monomial_betti(gens, n, 32003).entries == _full_strand_betti(gens, n, 32003)
 
 
 # ---------------------------------------------------------------------------
