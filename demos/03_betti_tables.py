@@ -6,7 +6,6 @@ Run:  python demos/03_betti_tables.py
 from bettibounds import (
     Ideal,
     PolyRing,
-    derived_invariants,
     format_betti,
     koszul_betti,
     minimize_taylor,
@@ -28,8 +27,7 @@ assert A.entries == B.entries
 
 print("\nBetti diagram of S/(x^2, x*y, y^2):")
 print(format_betti(A))
-pd, reg, ts = derived_invariants(A)
-print(f"pd = {pd}, reg = {reg}, t = {ts}")
+print(f"pd = {A.pd()}, reg = {A.reg()}, t = {A.ts()}")
 
 # a general ideal: the table sits below the table of its initial ideal
 I = Ideal(ring, [x * x + y * y, x * y])

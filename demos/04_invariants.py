@@ -1,19 +1,16 @@
-"""Socle degrees, alpha, fractional regularity, generic sections, gins.
+"""Socle degrees, alpha, fractional regularity, generic sections.
 
 Run:  python demos/04_invariants.py
 """
 
 from bettibounds import (
-    GREVLEX,
     Ideal,
     PolyRing,
     alpha_of,
-    borel_fixed_test,
     filter_regular_test,
     format_poly,
     frac_reg,
     generic_section,
-    gin,
     invariant_bundle,
     koszul_betti,
     socle_degrees,
@@ -42,9 +39,3 @@ print("\nreg_{1/r} for r = 1..4:", [frac_reg(B, r) for r in (1, 2, 3, 4)])
 # filter-regularity of a random linear form is certified exactly
 ell = R4.linear_form([1, 2, 3, 4])
 print("\nfilter test for", format_poly(ell), "->", filter_regular_test(ell, I))
-
-# generic initial ideals are Borel-fixed and stable across seeds
-R2 = PolyRing(2, 32003, ("x", "y"))
-u, v = R2.variables()
-G = gin(Ideal(R2, [v * v]), GREVLEX, seed=0)
-print("\ngin of (y^2):", [format_poly(g) for g in G.gens], "| Borel-fixed:", borel_fixed_test(G))

@@ -34,13 +34,11 @@ from .resolution import (
     BettiTable,
     IncompleteTableError,
     TaylorComplex,
-    derived_invariants,
     format_betti,
     koszul_betti,
     minimize_taylor,
     monomial_betti,
     taylor_complex,
-    truncate_ideal,
 )
 from .invariants import (
     FilterVerdict,
@@ -48,11 +46,9 @@ from .invariants import (
     InvariantBundle,
     SectionResult,
     alpha_of,
-    borel_fixed_test,
     filter_regular_test,
     frac_reg,
     generic_section,
-    gin,
     invariant_bundle,
     socle_degrees,
 )

@@ -79,12 +79,6 @@ class Ideal:
             raise ValueError("not a monomial ideal")
         return tuple(next(iter(g.terms)) for g in self.gens)
 
-    def num_generators(self) -> int:
-        return len(self.gens)
-
-    def max_generator_degree(self) -> int:
-        return max((g.degree() for g in self.gens), default=0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Ideal) and self.ring == other.ring and self.gens == other.gens
 
@@ -827,15 +821,14 @@ class QuotientBasis:
 
     The degree-d piece of S/I is spanned by the monomials of degree d outside
     the initial ideal; every monomial rewrites to a vector over that basis by
-    division against the reduced Groebner basis.
+    division against the reduced grevlex Groebner basis.
     """
 
-    def __init__(self, I: Ideal, order: MonomialOrder = GREVLEX):
+    def __init__(self, I: Ideal):
         self.ring = I.ring
-        self.order = order
-        gb = reduced_gb(I, order)
+        gb = reduced_gb(I, GREVLEX)
         self.gb = list(gb.elements)
-        self.lms = [g.leading_monomial(order) for g in self.gb]
+        self.lms = list(gb.leading_monomials())
         self.staircase = monomials.minimalize(self.lms)
         self._std: list[list[Exponents]] = []
         self._idx: list[dict[Exponents, int]] = []

@@ -1,12 +1,11 @@
 """Module-theoretic invariants of S/I: socle, alpha, fractional regularity,
-filter-regular and regular linear forms, generic sections, generic initial
-ideals and Borel-fixedness.
+filter-regular and regular linear forms, and generic sections.
 
 "Sufficiently general" is operationalized by drawing random coefficients over
 the (large) prime field and certifying the draw: filter-regularity is checked
-exactly through Hilbert series, generic initial ideals must agree across two
-independent draws.  Certified failures retry up to a fixed budget and then
-raise ``GenericityError`` rather than silently returning garbage.
+exactly through Hilbert series.  Certified failures retry up to a fixed
+budget and then raise ``GenericityError`` rather than silently returning
+garbage.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import monomials
 from .groebner import (
     Ideal,
     QuotientBasis,
@@ -24,14 +22,13 @@ from .groebner import (
     ideal_quotient,
     ideal_quotient_ideal,
     ideals_equal,
-    initial_exponents,
     irrelevant_ideal,
     quotient_dimension,
     quotient_hilbert_function,
     saturation,
 )
 from .linalg import rank_mod_p
-from .polyring import GREVLEX, MonomialOrder, Poly, apply_linear_change, mat_inv_mod
+from .polyring import Poly
 from .resolution import BettiTable, koszul_betti
 
 RETRY_BUDGET = 8
@@ -221,66 +218,6 @@ def find_regular_form(I: Ideal, seed: int = 0) -> tuple[Poly, Ideal | None] | No
         return None
     coeffs, _, image = drawn
     return I.ring.linear_form(coeffs), image
-
-
-# ---------------------------------------------------------------------------
-# generic initial ideals and Borel-fixedness
-# ---------------------------------------------------------------------------
-
-def _random_invertible(rng: random.Random, n: int, p: int) -> list[list[int]]:
-    while True:
-        M = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        if mat_inv_mod(M, p) is not None:
-            return M
-
-
-def gin(I: Ideal, order: MonomialOrder = GREVLEX, seed: int = 0) -> Ideal:
-    """Generic initial ideal: in_order(I) after a random coordinate change.
-
-    Two independent draws must produce the same monomial ideal; otherwise the
-    pair is redrawn, and after the retry budget a GenericityError escapes.
-    """
-    ring = I.ring
-    if I.is_zero:
-        return I
-    rng = random.Random(0x617 ^ (seed * 2654435761 % 2**31))
-    for _ in range(RETRY_BUDGET):
-        results = []
-        for _ in range(2):
-            M = _random_invertible(rng, ring.nvars, ring.char)
-            moved = Ideal(ring, [apply_linear_change(g, M) for g in I.gens])
-            results.append(initial_exponents(moved, order))
-        if results[0] == results[1]:
-            return Ideal.monomial(ring, results[0])
-    raise GenericityError("generic initial ideal did not stabilize across seeds")
-
-
-def borel_fixed_test(J: Ideal) -> bool:
-    """Characteristic-aware Borel-fixedness of a monomial ideal.
-
-    For each minimal generator u, each variable x_j dividing u with exponent
-    e, each i < j, and each s <= e with C(e, s) nonzero mod p (Lucas), the
-    swap x_i^s * u / x_j^s must stay in the ideal.  For p larger than every
-    exponent this is the strongly-stable single-swap test.
-    """
-    if not J.is_monomial:
-        raise ValueError("Borel-fixedness is tested on monomial ideals")
-    p = J.ring.char
-    gens = monomials.minimalize(J.monomial_exponents())
-    for u in gens:
-        for j, e in enumerate(u):
-            if e == 0:
-                continue
-            for i in range(j):
-                for s in range(1, e + 1):
-                    if monomials.binom_mod_p(e, s, p) == 0:
-                        continue
-                    swapped = list(u)
-                    swapped[j] -= s
-                    swapped[i] += s
-                    if not monomials.member(tuple(swapped), gens):
-                        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

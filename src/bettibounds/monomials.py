@@ -222,19 +222,3 @@ def hilbert_function(gens: Sequence[Exponents], nvars: int, d: int) -> int:
     K = hilbert_numerator(gens, nvars)
     return sum(c * comb(d - j + nvars - 1, nvars - 1) for j, c in K.items() if j <= d)
 
-
-def binom_mod_p(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p by Lucas' theorem."""
-    if k < 0 or k > n:
-        return 0
-    from math import comb
-
-    result = 1
-    while n or k:
-        nd, kd = n % p, k % p
-        if kd > nd:
-            return 0
-        result = (result * comb(nd, kd)) % p
-        n //= p
-        k //= p
-    return result

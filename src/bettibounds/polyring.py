@@ -305,12 +305,6 @@ class Poly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
-    def coeff(self, exps: Exponents) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     # -- leading data --------------------------------------------------------
 
     def leading_monomial(self, order: MonomialOrder) -> Exponents:

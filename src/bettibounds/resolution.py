@@ -7,11 +7,12 @@ Two independent algorithms are kept side by side and used as mutual oracles:
   resolution is minimal; the surviving ranks are the Betti numbers.
 * ``koszul_betti`` computes Tor through the Koszul complex on the variables.
   For monomial ideals the complex splits into multigraded strands supported
-  on subset lcms, each a tiny simplicial computation.  For general ideals the
-  Z-graded pieces are realized on normal-form bases; degree caps come from
-  the initial ideal (upper semicontinuity), the quotient is first cut down by
-  verified-regular linear forms, which leaves the table unchanged, and the
-  finished table is validated against the Hilbert series numerator.
+  on subset lcms, each a tiny simplicial computation.  A general ideal is
+  first cut down by verified-regular linear forms, which leaves the table
+  unchanged; the Z-graded pieces of what is left are realized on
+  normal-form bases, with degree caps from its initial ideal (upper
+  semicontinuity), and the finished table is validated against the Hilbert
+  series numerator.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .groebner import (
     initial_exponents,
     quotient_dimension,
     reduced_gb,
-    truncated_initial_generators,
 )
 from .linalg import rank_mod_p
 from .polyring import GREVLEX, Exponents, Packing, Poly, PolyRing, exp_deg, exp_lcm, exp_sub
@@ -107,9 +107,6 @@ class BettiTable:
 
     # -- the ideal's own table: beta_{i,j}(I) = beta_{i+1,j}(S/I) -----------------
 
-    def ideal_beta(self, i: int, j: int) -> int:
-        return self.beta(i + 1, j)
-
     def ideal_reg(self) -> int:
         self.require_complete()
         return max(j - i for (i, j) in self.entries if i >= 1) + 1 if any(i >= 1 for i, _ in self.entries) else 0
@@ -133,12 +130,6 @@ class BettiTable:
 
     def __repr__(self) -> str:
         return f"BettiTable({self.entries})"
-
-
-def derived_invariants(B: BettiTable) -> tuple[int, int, list[int]]:
-    """(pd, reg, [t_0..t_pd]) of S/I, straight from the definitions."""
-    B.require_complete()
-    return B.pd(), B.reg(), B.ts()
 
 
 def format_betti(B: BettiTable) -> str:
@@ -509,7 +500,6 @@ def _regular_reduce(I: Ideal, seed: int, max_cuts: int | None = None) -> tuple[I
 
 def koszul_betti(
     I: Ideal,
-    degree_caps: dict[int, int] | None = None,
     *,
     max_i: int | None = None,
     max_cuts: int | None = None,
@@ -517,13 +507,15 @@ def koszul_betti(
 ) -> BettiTable:
     """beta_{i,j}(S/I) through ranks of the graded Koszul differentials.
 
-    ``degree_caps`` maps each homological index to the largest j scanned;
-    when omitted the caps are taken from the table of S/in(I), which bounds
-    the true table entrywise by upper semicontinuity.  ``max_i`` restricts
-    the computation to homological indices <= max_i (the table is then marked
-    partial).  Without ``degree_caps`` the quotient is first cut by at most
-    ``max_cuts`` certified-regular linear forms (no limit when None; 0 skips
-    the cutting).  Completed tables are validated against the Hilbert series
+    A monomial ideal goes straight to ``monomial_betti``.  Otherwise the
+    quotient is first cut by at most ``max_cuts`` certified-regular linear
+    forms (no limit when None; 0 skips the cutting), which leaves the table
+    unchanged; a cut that reaches a monomial ideal also ends in
+    ``monomial_betti``.  For the rest, the largest j scanned at each
+    homological index is read off the table of S/in(J), which bounds the
+    true table entrywise by upper semicontinuity.  ``max_i`` restricts the
+    computation to homological indices <= max_i (the table is then marked
+    partial).  Completed tables are validated against the Hilbert series
     numerator; failure raises IncompleteTableError.
     """
     ring = I.ring
@@ -532,36 +524,26 @@ def koszul_betti(
         return BettiTable({(0, 0): 1}, ring.nvars)
     if any(g.degree() == 0 for g in I.gens):
         raise ValueError("unit ideal has no Betti table")
-    if I.is_monomial:
-        B = monomial_betti(I.monomial_exponents(), ring.nvars, p)
-        if max_i is not None and max_i < B.pd():
-            return BettiTable({k: v for k, v in B.entries.items() if k[0] <= max_i}, ring.nvars, complete_to=max_i)
-        return B
-
     nvars0 = ring.nvars
-    J = I
-    if degree_caps is None:
-        J, _ = _regular_reduce(I, seed, max_cuts=max_cuts)
+    # monomial input never reaches _regular_reduce: a drawn cut would turn
+    # it into a non-monomial ideal and trade the strands for Koszul ranks
+    J = I if I.is_monomial else _regular_reduce(I, seed, max_cuts=max_cuts)[0]
     if J.is_monomial:
         B = monomial_betti(J.monomial_exponents(), J.ring.nvars, p)
-        B = BettiTable(B.entries, nvars0)
         if max_i is not None and max_i < B.pd():
             return BettiTable({k: v for k, v in B.entries.items() if k[0] <= max_i}, nvars0, complete_to=max_i)
-        return B
+        return BettiTable(B.entries, nvars0)
 
     in_gens = initial_exponents(J, GREVLEX)
     caps_table = monomial_betti(in_gens, J.ring.nvars, p)
     imax = caps_table.pd()
     caps: dict[int, int] = {}
     for i in range(1, imax + 1):
-        if degree_caps is not None and i in degree_caps:
-            caps[i] = degree_caps[i]
-        else:
-            ti = caps_table.t(i)
-            caps[i] = ti if ti is not None else i
+        ti = caps_table.t(i)
+        caps[i] = ti if ti is not None else i
     i_top = imax if max_i is None else min(max_i, imax)
 
-    qb = QuotientBasis(J, GREVLEX)
+    qb = QuotientBasis(J)
     n = J.ring.nvars
     rank_cache: dict[tuple[int, int], int] = {}
 
@@ -618,19 +600,3 @@ def koszul_betti(
         _validate_euler(table, hilbert_numerator_of(J))
     return table
 
-
-# ---------------------------------------------------------------------------
-# truncation  M_{<=j}
-# ---------------------------------------------------------------------------
-
-def truncate_ideal(I: Ideal, j: int) -> Ideal:
-    """The ideal generated by all elements of I of degree at most j."""
-    if j < 0:
-        raise ValueError("negative truncation degree")
-    ring = I.ring
-    if I.is_monomial:
-        return Ideal(ring, [g for g in I.gens if g.degree() <= j])
-    if j == 0:
-        return Ideal(ring, [])
-    gens = [g for g in truncated_initial_generators(I, GREVLEX, j).elements if g.degree() <= j]
-    return Ideal(ring, gens)

@@ -230,7 +230,6 @@ class CheckContext:
         self.seed = seed
         self.instance = instance
         self._table: BettiTable | None = None
-        self._initial: dict[MonomialOrder, tuple] = {}
         self._sections: dict[int, tuple] = {}
 
     @property
@@ -238,11 +237,6 @@ class CheckContext:
         if self._table is None:
             self._table = koszul_betti(self.ideal, seed=self.seed)
         return self._table
-
-    def initial(self, order: MonomialOrder = GREVLEX) -> tuple:
-        if order not in self._initial:
-            self._initial[order] = initial_exponents(self.ideal, order)
-        return self._initial[order]
 
     @property
     def pd(self) -> int:
@@ -658,7 +652,7 @@ def check_semicontinuity_and_taylor(I: Ideal, ctx: CheckContext | None = None) -
     for order in orders:
         # in(I) = I for every order when I is monomial
         in_table = table if I.is_monomial else monomial_betti(
-            monomials.minimalize(c.initial(order)), I.ring.nvars, I.ring.char
+            initial_exponents(I, order), I.ring.nvars, I.ring.char
         )
         compared[order.name] = _betti_witness(in_table)
         for (i, j), v in table.entries.items():

@@ -4,15 +4,13 @@ from bettibounds.groebner import Ideal, ideals_equal
 from bettibounds.invariants import (
     GenericityError,
     alpha_of,
-    borel_fixed_test,
     filter_regular_test,
     frac_reg,
     generic_section,
-    gin,
     invariant_bundle,
     socle_degrees,
 )
-from bettibounds.polyring import GREVLEX, PolyRing
+from bettibounds.polyring import PolyRing
 from bettibounds.resolution import _regular_reduce, koszul_betti, minimize_taylor, taylor_complex
 
 R2 = PolyRing(2, 32003, ("x", "y"))
@@ -124,40 +122,6 @@ def test_generic_section_two_seeds_agree():
 def test_generic_section_count_validation():
     with pytest.raises(ValueError):
         generic_section(Ideal(R2, [X]), 3)
-
-
-def test_gin_examples():
-    I = Ideal(R2, [Y * Y])
-    G = gin(I, GREVLEX, seed=0)
-    assert G.monomial_exponents() == ((2, 0),)
-
-    I = Ideal(R2, [X * X, X * Y])
-    G = gin(I, GREVLEX, seed=0)
-    assert set(G.monomial_exponents()) == {(2, 0), (1, 1)}  # Borel-fixed fixed point
-
-    assert borel_fixed_test(G)
-    # idempotence
-    G2 = gin(G, GREVLEX, seed=7)
-    assert set(G2.monomial_exponents()) == set(G.monomial_exponents())
-
-
-def test_gin_is_borel_fixed_on_samples():
-    x, y, z = R3.variables()
-    for seed, gens in enumerate([[x * y], [x * x + y * z], [y * z, z * z]]):
-        G = gin(Ideal(R3, gens), GREVLEX, seed=seed)
-        assert borel_fixed_test(G)
-
-
-def test_borel_fixed_examples():
-    assert borel_fixed_test(Ideal(R2, [X * X, X * Y]))
-    assert not borel_fixed_test(Ideal(R2, [Y * Y]))
-    # characteristic-p Frobenius powers: Borel-fixed but not strongly stable
-    R5 = PolyRing(2, 5, ("x", "y"))
-    x5, y5 = R5.variables()
-    assert borel_fixed_test(Ideal(R5, [x5 ** 5, y5 ** 5]))
-    assert not borel_fixed_test(Ideal(R5, [x5 ** 5, y5 ** 4 * x5]))
-    with pytest.raises(ValueError):
-        borel_fixed_test(Ideal(R2, [X + Y]))
 
 
 def test_invariant_bundle_consistency():

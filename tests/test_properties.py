@@ -18,9 +18,7 @@ from bettibounds.groebner import (
 )
 from bettibounds.invariants import (
     alpha_of,
-    borel_fixed_test,
     filter_regular_test,
-    gin,
     socle_degrees,
 )
 from bettibounds.polyring import GREVLEX, LEX, PolyRing, apply_linear_change, mat_inv_mod
@@ -97,16 +95,6 @@ def test_alpha_invariant_under_regular_section():
         ell = found[0]
         J = Ideal(I.ring, list(I.gens) + [ell])
         assert alpha_of(koszul_betti(J, seed=spec.seed)) == alpha_of(B)
-
-
-def test_gin_idempotent_and_borel_on_samples():
-    R3 = PolyRing(3, 32003, ("x", "y", "z"))
-    x, y, z = R3.variables()
-    for seed, gens in enumerate([[x * x + y * z], [x * y, z * z], [x * x, y * y + z * z]]):
-        G = gin(Ideal(R3, gens), GREVLEX, seed=seed)
-        assert borel_fixed_test(G)
-        G2 = gin(G, GREVLEX, seed=seed + 50)
-        assert set(G2.monomial_exponents()) == set(G.monomial_exponents())
 
 
 def test_filter_regular_failure_rate_small():

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from bettibounds import linalg, monomials
 from bettibounds import resolution
 from bettibounds.groebner import Ideal, hilbert_numerator_of, reduced_gb, substitute_linear_form
-from bettibounds.polyring import GREVLEX, Packing, Poly, PolyRing, exp_lcm
+from bettibounds.polyring import GREVLEX, Packing, Poly, PolyRing, apply_linear_change, exp_lcm, mat_inv_mod
 from bettibounds.resolution import (
     BettiTable,
     IncompleteTableError,
-    derived_invariants,
     format_betti,
     koszul_betti,
     lift_section_table,
@@ -22,9 +21,8 @@ from bettibounds.resolution import (
     minimize_taylor,
     monomial_betti,
     taylor_complex,
-    truncate_ideal,
 )
-from bettibounds.verifier import InstanceSpec, generate_instance
+from bettibounds.verifier import InstanceSpec, corpus_specs, generate_instance
 
 R2 = PolyRing(2, 32003, ("x", "y"))
 R3 = PolyRing(3, 32003, ("x", "y", "z"))
@@ -79,8 +77,7 @@ def test_taylor_gen_limit():
 def test_minimize_taylor_examples():
     B = minimize_taylor(taylor_complex([X * X, X * Y, Y * Y]))
     assert B.entries == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
-    pd, reg, ts = derived_invariants(B)
-    assert pd == 2 and reg == 1
+    assert B.pd() == 2 and B.reg() == 1
 
     B = minimize_taylor(taylor_complex([(1, 0, 0), (0, 1, 0), (0, 0, 1)], nvars=3))
     assert B.entries == {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1}
@@ -345,17 +342,20 @@ def test_koszul_partial_table():
 
 
 def test_koszul_caps_too_small_detected():
-    # undersized caps hide the top corner of the table; the Hilbert-series
-    # consistency check catches it (monomial inputs bypass caps entirely)
+    # caps too small would hide the top corner of the table; the
+    # Hilbert-series consistency check catches the missing entry
     I = Ideal(R2, [X * X + Y * Y, X * Y])
+    B = koszul_betti(I)
+    assert B.entries == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+    del B.entries[(2, 4)]
     with pytest.raises(IncompleteTableError):
-        koszul_betti(I, degree_caps={1: 2, 2: 2})
+        resolution._validate_euler(B, hilbert_numerator_of(I))
 
 
 def test_koszul_zero_and_unit():
     B = koszul_betti(Ideal(R2, []))
     assert B.entries == {(0, 0): 1}
-    assert derived_invariants(B) == (0, 0, [0])
+    assert (B.pd(), B.reg(), B.ts()) == (0, 0, [0])
     with pytest.raises(ValueError):
         koszul_betti(Ideal(R2, [R2.one()]))
 
@@ -379,34 +379,42 @@ def test_koszul_factor_identity_for_adjoined_form():
         assert lift_section_table(small, 1, 3).entries == direct.entries
 
 
+def test_koszul_table_invariant_under_coordinate_change():
+    # the table depends on the ideal, not on the coordinates: g.I has the
+    # table of I for every invertible g, with and without regular cuts
+    rng = random.Random(2024)
+    seen = 0
+    for spec in corpus_specs(80, 2024):
+        if spec.nvars > 4:
+            continue
+        I, _ = generate_instance(spec)
+        if I.is_monomial:
+            continue
+        p = I.ring.char
+        while True:
+            g = [[rng.randrange(p) for _ in range(spec.nvars)] for _ in range(spec.nvars)]
+            if mat_inv_mod(g, p) is not None:
+                break
+        moved = Ideal(I.ring, [apply_linear_change(f, g) for f in I.gens])
+        for max_cuts in (None, 0):
+            assert koszul_betti(moved, max_cuts=max_cuts, seed=spec.seed) == \
+                koszul_betti(I, max_cuts=max_cuts, seed=spec.seed), spec.label()
+        seen += 1
+    assert seen >= 15
+
+
 # ---------------------------------------------------------------------------
-# derived invariants and truncation
+# derived invariants
 # ---------------------------------------------------------------------------
 
 def test_derived_invariants_examples():
     B = koszul_betti(Ideal(R2, [X * X, Y * Y]))
-    pd, reg, ts = derived_invariants(B)
-    assert (pd, reg) == (2, 2)
-    assert ts == [0, 2, 4]
-    assert B.ideal_reg() == reg + 1  # beta_{i,j}(I) = beta_{i+1,j}(S/I)
+    assert (B.pd(), B.reg()) == (2, 2)
+    assert B.ts() == [0, 2, 4]
+    assert B.ideal_reg() == B.reg() + 1  # beta_{i,j}(I) = beta_{i+1,j}(S/I)
 
     B = koszul_betti(Ideal(R2, [X]))
-    assert derived_invariants(B) == (1, 0, [0, 1])
-
-
-def test_truncate_ideal_examples():
-    from bettibounds.groebner import ideals_equal
-
-    J = Ideal(R2, [X * X, Y ** 5])
-    assert ideals_equal(truncate_ideal(J, 3), Ideal(R2, [X * X]))
-    assert ideals_equal(truncate_ideal(J, 5), J)
-    J = Ideal(R2, [X ** 3, X * X * Y, Y ** 4])
-    assert ideals_equal(truncate_ideal(J, 3), Ideal(R2, [X ** 3, X * X * Y]))
-    # general (non-monomial) truncation through the capped iteration
-    I = Ideal(R2, [X * X + Y * Y, X * Y])
-    assert ideals_equal(truncate_ideal(I, 2), I)
-    K = Ideal(R2, [X, Y ** 3])
-    assert ideals_equal(truncate_ideal(K, 1), Ideal(R2, [X]))
+    assert (B.pd(), B.reg(), B.ts()) == (1, 0, [0, 1])
 
 
 def test_euler_characteristic_matches_numerator():

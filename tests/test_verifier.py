@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bettibounds import monomials
 from bettibounds.groebner import Ideal, ideals_equal
 from bettibounds.polyring import GREVLEX, LEX, PolyRing
 from bettibounds.verifier import (
@@ -254,9 +255,13 @@ def test_generate_instance_families():
     assert len(I.gens) == 3 and all(g.degree() == d for g, d in zip(I.gens, meta["ci_degrees"]))
 
     I, meta = generate_instance(InstanceSpec("borel", 3, 4, 3, seed=2))
-    from bettibounds.invariants import borel_fixed_test
-
-    assert borel_fixed_test(I)
+    # strongly stable: each single swap x_i * u / x_j, i < j, stays inside
+    gens = monomials.minimalize(I.monomial_exponents())
+    for u in gens:
+        for j in (j for j, e in enumerate(u) if e):
+            for i in range(j):
+                swapped = u[:i] + (u[i] + 1,) + u[i + 1:j] + (u[j] - 1,) + u[j + 1:]
+                assert monomials.member(swapped, gens)
 
     I, meta = generate_instance(InstanceSpec("edge-ideal", 5, 4, 2, seed=3))
     assert all(g.degree() == 2 and g.is_monomial() for g in I.gens)
