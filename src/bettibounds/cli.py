@@ -16,6 +16,7 @@ import traceback
 from .groebner import groebner_basis
 from .ideal_io import parse_ideal
 from .invariants import invariant_bundle
+from .monomials import instance_scope
 from .polyring import format_poly, order_by_name
 from .resolution import format_betti, koszul_betti
 from .verifier import CHECKS, FAIL, CheckContext, run_all_checks, run_corpus
@@ -94,8 +95,9 @@ def _run(args, out) -> int:
         if args.all:
             reports = run_all_checks(I, seed=args.seed, instance=args.file, meta=meta, r_values=args.r_sweep)
         else:
-            ctx = CheckContext(I, seed=args.seed, instance=args.file)
-            reports = CHECKS[args.name](ctx, meta, args.r_sweep)
+            with instance_scope():
+                ctx = CheckContext(I, seed=args.seed, instance=args.file)
+                reports = CHECKS[args.name](ctx, meta, args.r_sweep)
             if not reports:
                 raise ValueError(f"{args.name} does not apply: {args.file} does not assert its hypothesis")
         for r in reports:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from . import monomials
@@ -575,8 +576,11 @@ def hilbert_numerator_of(I: Ideal) -> dict[int, int]:
 
 
 def quotient_hilbert_function(I: Ideal, d: int) -> int:
-    """dim_k (S/I)_d."""
-    return monomials.hilbert_function(initial_exponents(I), I.ring.nvars, d)
+    """dim_k (S/I)_d, from the cached numerator of ``hilbert_numerator_of``."""
+    if d < 0:
+        return 0
+    n = I.ring.nvars
+    return sum(c * comb(d - j + n - 1, n - 1) for j, c in hilbert_numerator_of(I).items() if j <= d)
 
 
 def quotient_dimension(I: Ideal) -> int:
@@ -634,11 +638,13 @@ def substitute_linear_form(I: Ideal, ell: Poly) -> Ideal:
 
     new_gens = []
     for g in I.gens:
-        acc = small.zero()
+        acc: dict[Exponents, int] = {}
         for e, c in g.terms.items():
             base = tuple(x for i, x in enumerate(e) if i != k)
-            acc = acc + img_pow(e[k]).mul_term(c, base)
-        new_gens.append(acc)
+            for m, v in img_pow(e[k]).terms.items():
+                t = tuple(x + y for x, y in zip(m, base))
+                acc[t] = acc.get(t, 0) + c * v
+        new_gens.append(Poly(small, {t: v % p for t, v in acc.items() if v % p}, _normalized=True))
     return Ideal(small, new_gens)
 
 

@@ -4,14 +4,49 @@ These helpers treat a monomial ideal as the set of monomials divisible by at
 least one generator.  They back the staircase computations used everywhere
 else: normal-form bases, Hilbert series numerators, Krull dimension, colon
 and saturation fast paths.
+
+The checks of one instance ask for the same tables again: generic linear
+forms of two seeds give the same initial ideal (Galligo 1974; Bayer &
+Stillman, Invent. Math. 87, 1987).  Inside ``instance_scope`` a result kept
+by ``memoized`` is reused; the memo is dropped when the scope exits, and
+outside any scope nothing is kept.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .polyring import Exponents, Packing, exp_divides, exp_gcd, exp_lcm, exp_sub
+
+
+T = TypeVar("T")
+
+_memo: ContextVar[dict | None] = ContextVar("bettibounds_instance_memo", default=None)
+
+
+@contextmanager
+def instance_scope() -> Iterator[None]:
+    """A fresh memo for the checks of one instance, dropped on exit."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def memoized(key: Hashable, compute: Callable[[], T]) -> T:
+    """compute(), kept under ``key`` in the memo of the current
+    ``instance_scope``; recomputed every time outside a scope.  Callers hand
+    out copies, since the kept value is shared."""
+    memo = _memo.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def _minimal_packed(packed: Iterable[int], guards: int) -> list[int]:
@@ -166,9 +201,15 @@ def hilbert_numerator(gens: Sequence[Exponents], nvars: int) -> dict[int, int]:
     The recursion runs on monomials packed with the width of the largest
     exponent present: x^g : x^u keeps g_t - u_t in the fields where the
     guarded subtraction (g | guards) - u keeps its guard bit and 0 elsewhere,
-    and supports are the guard bits of (g | guards) - (1, ..., 1).
+    and supports are the guard bits of (g | guards) - (1, ..., 1).  Within an
+    ``instance_scope`` each numerator is computed once per minimal generators
+    and ``nvars``; every call gets its own copy.
     """
     gens = minimalize(gens)
+    return dict(memoized(("hilbert", gens, nvars), lambda: _hilbert_numerator(gens, nvars)))
+
+
+def _hilbert_numerator(gens: tuple[Exponents, ...], nvars: int) -> dict[int, int]:
     if not gens:
         return {0: 1}
     pk = Packing.for_exponents(nvars, gens)
@@ -211,14 +252,4 @@ def hilbert_numerator(gens: Sequence[Exponents], nvars: int) -> dict[int, int]:
         return out
 
     return run(tuple(sorted(pk.pack(g) for g in gens)))
-
-
-def hilbert_function(gens: Sequence[Exponents], nvars: int, d: int) -> int:
-    """dim_k of the degree-d piece of S/(gens), from the series numerator."""
-    from math import comb
-
-    if d < 0:
-        return 0
-    K = hilbert_numerator(gens, nvars)
-    return sum(c * comb(d - j + nvars - 1, nvars - 1) for j, c in K.items() if j <= d)
 

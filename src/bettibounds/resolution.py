@@ -342,8 +342,16 @@ def monomial_betti(gens: Sequence[Exponents], nvars: int, char: int) -> BettiTab
     from the largest exponent present, so the lcm closure is a SWAR max, and
     for a divisor g of a the guard bits of (a | guards) - g, less one in
     each field, mark supp(a) minus T_g in a single subtraction.
+
+    Within a ``monomials.instance_scope`` each table is computed once per
+    minimal generators, ``nvars`` and ``char``; every call gets its own copy.
     """
     gens = monomials.minimalize(gens)
+    table = monomials.memoized(("betti", gens, nvars, char), lambda: _strand_table(gens, nvars, char))
+    return BettiTable(table.entries, nvars)
+
+
+def _strand_table(gens: tuple[Exponents, ...], nvars: int, char: int) -> BettiTable:
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     if not gens:
         return BettiTable(entries, nvars)

@@ -917,9 +917,11 @@ def run_all_checks(
     meta: dict | None = None,
     r_values: Sequence[int] = (1, 2, 3, 4),
 ) -> list[BoundReport]:
-    """Every applicable check on one ideal, in the order of ``CHECKS``."""
-    ctx = CheckContext(I, seed=seed, instance=instance)
-    return [r for run in CHECKS.values() for r in run(ctx, meta or {}, r_values)]
+    """Every applicable check on one ideal, in the order of ``CHECKS``, in
+    one ``monomials.instance_scope``."""
+    with monomials.instance_scope():
+        ctx = CheckContext(I, seed=seed, instance=instance)
+        return [r for run in CHECKS.values() for r in run(ctx, meta or {}, r_values)]
 
 
 def corpus_specs(

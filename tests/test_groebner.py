@@ -399,6 +399,49 @@ def test_substitute_and_regularity():
     assert J.gens[0].degree() == 2
 
 
+def _evaluate(f: Poly, point, p: int) -> int:
+    total = 0
+    for e, c in f.terms.items():
+        for a, x in zip(point, e):
+            c = c * pow(a, x, p) % p
+        total += c
+    return total % p
+
+
+def test_substitution_agrees_with_evaluation():
+    # image(g) at a point of F_p^(N-1) is g at the same point with x_k set
+    # to the form's solution; images are monic, so up to one scalar per g
+    from bettibounds.verifier import corpus_specs
+
+    rng = random.Random(14)
+    forms = 0
+    for spec in corpus_specs(30, 2024)[::3]:
+        I, _ = generate_instance(spec)
+        ring, n, p = I.ring, I.ring.nvars, I.ring.char
+        for _ in range(3):
+            coeffs = [rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(n)]
+            if not any(coeffs):
+                continue
+            k = max(i for i, c in enumerate(coeffs) if c)
+            ell = ring.linear_form(coeffs)
+            images = []
+            for g in I.gens:
+                image = substitute_linear_form(Ideal(ring, [g]), ell).gens
+                images.extend(image)
+                scale = None
+                for _ in range(6):
+                    rest = [rng.randrange(p) for _ in range(n - 1)]
+                    solved = -pow(coeffs[k], p - 2, p) * sum(c * a for c, a in zip(coeffs[:k] + coeffs[k + 1:], rest)) % p
+                    lhs = _evaluate(g, rest[:k] + [solved] + rest[k:], p)
+                    rhs = _evaluate(image[0], rest, p) if image else 0
+                    if scale is None and rhs:
+                        scale = lhs * pow(rhs, p - 2, p) % p
+                    assert lhs == (scale or 0) * rhs % p
+            assert substitute_linear_form(I, ell).gens == tuple(images)
+            forms += 1
+    assert forms >= 25
+
+
 def test_reduced_gb_is_cached_and_canonical():
     I = Ideal(R2, [X * Y, X * X + Y * Y])
     g1 = reduced_gb(I)

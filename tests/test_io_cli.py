@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import bettibounds
-from bettibounds import verifier
+from bettibounds import monomials, verifier
 from bettibounds.cli import main
 from bettibounds.groebner import Ideal
 from bettibounds.ideal_io import ParseError, format_ideal, parse_ideal
@@ -142,6 +142,20 @@ def test_cli_check_single_and_all(tmp_path, capsys):
     assert main(["check", path, "--all"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert all(json.loads(l)["verdict"] in ("pass", "hypotheses_not_met") for l in lines)
+
+
+def test_cli_checks_share_one_instance_memo(tmp_path, capsys, monkeypatch):
+    # both check paths run inside one memo scope, and none is left behind
+    seen = []
+    real = verifier.CHECKS["thm_lc"]
+    monkeypatch.setitem(verifier.CHECKS, "thm_lc",
+                        lambda *a: seen.append(monomials._memo.get() is not None) or real(*a))
+    path = _write(tmp_path)
+    assert main(["check", path, "--name", "thm_lc"]) == 0
+    assert main(["check", path, "--all"]) == 0
+    capsys.readouterr()
+    assert seen == [True, True]
+    assert monomials._memo.get() is None
 
 
 def test_cli_check_deterministic_output(tmp_path):

@@ -500,3 +500,85 @@ def test_regular_reduce_draws_when_the_last_variable_is_a_zero_divisor(monkeypat
     assert drawn and drawn[0] is I
     assert cuts == 1
     assert koszul_betti(I, seed=5) == koszul_betti(I, max_cuts=0)
+
+
+# ---------------------------------------------------------------------------
+# per-instance memo of monomial tables and Hilbert numerators
+# ---------------------------------------------------------------------------
+
+def _count_closures(monkeypatch) -> list:
+    calls = []
+    real = monomials.lcm_closure
+    monkeypatch.setattr(monomials, "lcm_closure", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def _count_numerators(monkeypatch) -> list:
+    calls = []
+    real = monomials._hilbert_numerator
+    monkeypatch.setattr(monomials, "_hilbert_numerator", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_instance_scope_reuses_permuted_and_redundant_generators(monkeypatch):
+    closures = _count_closures(monkeypatch)
+    numerators = _count_numerators(monkeypatch)
+    gens = [(2, 0, 0), (1, 1, 0), (0, 1, 1)]
+    same_ideal = [(0, 1, 1), (2, 1, 0), (1, 1, 0), (2, 0, 0), (0, 1, 1)]
+    with monomials.instance_scope():
+        B = monomial_betti(gens, 3, 32003)
+        assert monomial_betti(same_ideal, 3, 32003) == B
+        K = monomials.hilbert_numerator(same_ideal, 3)
+        assert monomials.hilbert_numerator(gens, 3) == K
+    assert len(closures) == 1
+    # the table's Euler check asked for the numerator first
+    assert len(numerators) == 1
+
+
+def test_nothing_is_kept_outside_or_after_a_scope(monkeypatch):
+    closures = _count_closures(monkeypatch)
+    numerators = _count_numerators(monkeypatch)
+    gens = [(2, 0, 0), (1, 1, 0), (0, 1, 1)]
+    monomial_betti(gens, 3, 32003)
+    monomial_betti(gens, 3, 32003)
+    assert len(closures) == 2
+    with monomials.instance_scope():
+        monomial_betti(gens, 3, 32003)
+        with monomials.instance_scope():  # a nested scope starts empty
+            monomial_betti(gens, 3, 32003)
+        monomial_betti(gens, 3, 32003)
+    assert len(closures) == 4
+    monomial_betti(gens, 3, 32003)
+    monomials.hilbert_numerator(gens, 3)
+    assert len(closures) == 5
+    assert len(numerators) == 6
+
+
+def test_each_characteristic_gets_its_own_table(monkeypatch):
+    # the Stanley-Reisner ideal of the six-vertex real projective plane has
+    # a table that depends on the field: two extra entries in characteristic 2
+    facets = {frozenset(map(int, s)) for s in "124 126 135 136 145 234 235 256 346 456".split()}
+    gens = [tuple(int(v in t) for v in range(1, 7))
+            for t in combinations(range(1, 7), 3) if frozenset(t) not in facets]
+    closures = _count_closures(monkeypatch)
+    with monomials.instance_scope():
+        odd = monomial_betti(gens, 6, 32003)
+        two = monomial_betti(gens, 6, 2)
+        assert monomial_betti(gens, 6, 32003) == odd
+        assert monomial_betti(gens, 6, 2) == two
+    assert len(closures) == 2
+    assert two.entries == {**odd.entries, (3, 6): 1, (4, 6): 1}
+
+
+def test_callers_cannot_corrupt_the_memo():
+    gens = [(2, 0, 0), (1, 1, 0), (0, 1, 1)]
+    expected_K = monomials.hilbert_numerator(gens, 3)
+    expected_B = monomial_betti(gens, 3, 32003)
+    with monomials.instance_scope():
+        K = monomials.hilbert_numerator(gens, 3)
+        K[0] = 99
+        K.pop(2, None)
+        B = monomial_betti(gens, 3, 32003)
+        B.entries.clear()
+        assert monomials.hilbert_numerator(gens, 3) == expected_K
+        assert monomial_betti(gens, 3, 32003).entries == expected_B.entries
