@@ -94,17 +94,16 @@ class Ideal:
 class GBasis:
     """A (possibly degree-truncated) Groebner basis.
 
-    With ``truncation_degree=None`` the elements are a full reduced Groebner
-    basis.  Otherwise their leading monomials generate the initial ideal in
-    every degree up to the truncation degree only.
+    From ``groebner_basis`` the elements are a full reduced Groebner basis;
+    from ``truncated_initial_generators`` their leading monomials generate
+    the initial ideal in every degree up to the truncation degree only.
     """
 
-    __slots__ = ("elements", "order", "truncation_degree")
+    __slots__ = ("elements", "order")
 
-    def __init__(self, elements: Sequence[Poly], order: MonomialOrder, truncation_degree: int | None = None):
+    def __init__(self, elements: Sequence[Poly], order: MonomialOrder):
         self.elements = tuple(elements)
         self.order = order
-        self.truncation_degree = truncation_degree
 
     def leading_monomials(self) -> tuple[Exponents, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.elements)
@@ -397,7 +396,12 @@ def truncated_initial_generators(I: Ideal, order: MonomialOrder, delta: int) -> 
     """delta-1 capped iterations starting from the generators of degree <= delta.
 
     The leading monomials of the result generate in(I) in all degrees up to
-    delta.
+    delta.  Two or more linear generators are first replaced by their
+    reduced basis (``_buchberger`` on linear forms is Gaussian elimination),
+    whose leading monomials are distinct.  Dense linear forms share their
+    leading monomial, so a first round would turn them into a linear
+    remainder whose S-pairs with the other remainders only form in the round
+    after: delta-1 rounds would then fall short of in(I)_delta.
     """
     if delta < 1:
         raise ValueError("truncation degree must be >= 1")
@@ -409,9 +413,12 @@ def truncated_initial_generators(I: Ideal, order: MonomialOrder, delta: int) -> 
             if m not in seen:
                 seen.add(m)
                 cur.append(m)
+    linear = [g for g in cur if g.degree() == 1]
+    if len(linear) > 1:
+        cur = [g for g in cur if g.degree() > 1] + _buchberger(linear, order, True)
     for _ in range(delta - 1):
         cur = buchberger_iteration(cur, order, degree_cap=delta)
-    return GBasis(cur, order, truncation_degree=delta)
+    return GBasis(cur, order)
 
 
 # ---------------------------------------------------------------------------

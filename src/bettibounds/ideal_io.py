@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .groebner import Ideal
-from .polyring import GREVLEX, MAX_CHAR, Poly, PolyRing, format_poly, is_prime
+from .polyring import GREVLEX, Poly, PolyRing, format_poly
 
 
 class ParseError(ValueError):
@@ -125,18 +125,16 @@ def parse_ideal(text: str) -> tuple[Ideal, dict]:
         nvars, prime = int(parts[1]), int(parts[2])
     except ValueError:
         raise ParseError("N and p must be integers", header_line + 1)
-    if prime >= MAX_CHAR:
-        raise ParseError(f"characteristic {prime} is not below 2^31", header_line + 1)
-    if not is_prime(prime) or prime <= 2:
-        raise ParseError(f"{prime} is not an odd prime", header_line + 1)
-    names = tuple(parts[3:]) if len(parts) > 3 else ()
-    if names:
-        if len(names) != nvars:
-            raise ParseError(f"expected {nvars} variable names, got {len(names)}", header_line + 1)
-        for nm in names:
-            if not _NAME.fullmatch(nm):
-                raise ParseError(f"bad variable name {nm!r}", header_line + 1)
-    ring = PolyRing(nvars, prime, names)
+    names = tuple(parts[3:])
+    if names and len(names) != nvars:
+        raise ParseError(f"expected {nvars} variable names, got {len(names)}", header_line + 1)
+    for nm in names:
+        if not _NAME.fullmatch(nm):
+            raise ParseError(f"bad variable name {nm!r}", header_line + 1)
+    try:
+        ring = PolyRing(nvars, prime, names)
+    except ValueError as exc:  # the variable count or the characteristic
+        raise ParseError(str(exc), header_line + 1)
     var_index = {nm: i for i, nm in enumerate(ring.names)}
 
     meta: dict = {}

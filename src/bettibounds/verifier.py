@@ -92,11 +92,6 @@ class Bound:
             raise ValueError("symbolic exponent needs base >= 2")
         return cls(scale=scale, base=base, exponent=exponent)
 
-    @classmethod
-    def two_to(cls, exponent) -> "Bound":
-        """2**exponent for an int or Bound exponent."""
-        return cls.power(2, exponent)
-
     def minus_small(self, k: int) -> "Bound":
         """self - k when exact; otherwise a provable lower bound for self - k.
 
@@ -112,9 +107,6 @@ class Bound:
         if isinstance(self.exponent, int):
             return Bound(scale=self.scale, base=self.base, exponent=self.exponent - 1)
         return Bound(scale=self.scale, base=self.base, exponent=self.exponent.minus_small(1))
-
-    def is_exact(self) -> bool:
-        return self.value is not None
 
     def geq(self, lhs: int) -> bool:
         """Exact test: does this bound dominate the integer lhs?"""
@@ -181,14 +173,6 @@ class BoundReport:
     witness: dict = field(default_factory=dict)
     notes: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == PASS
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == FAIL
-
     def to_dict(self) -> dict:
         rhs_log2 = self.rhs.log2() if self.rhs is not None else None
         if rhs_log2 is not None and not math.isfinite(rhs_log2):
@@ -210,8 +194,9 @@ class BoundReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _verdict(lhs: int, rhs: Bound) -> str:
-    return PASS if rhs.geq(lhs) else FAIL
+def _verdict(lhs: int, rhs: Bound, *also: bool) -> str:
+    """Pass when rhs dominates lhs and every side condition in ``also`` holds."""
+    return PASS if rhs.geq(lhs) and all(also) else FAIL
 
 
 def _betti_witness(table: BettiTable) -> list[list[int]]:
@@ -264,14 +249,31 @@ class CheckContext:
 
 
 def _ctx(I: Ideal, ctx: CheckContext | None, seed: int = 0) -> CheckContext:
-    return ctx if ctx is not None else CheckContext(I, seed=seed)
-
-
-def _require_proper(I: Ideal) -> None:
+    """The context a check runs in, once I is known to be neither zero nor the unit ideal."""
     if I.is_zero:
         raise ValueError("the zero ideal is out of range for this check")
     if any(g.degree() == 0 for g in I.gens):
         raise ValueError("the unit ideal is out of range for this check")
+    return ctx if ctx is not None else CheckContext(I, seed=seed)
+
+
+def _report(
+    check: str,
+    c: CheckContext,
+    params: dict,
+    lhs: int | None,
+    rhs: Bound | None,
+    verdict: str,
+    witness: dict | None = None,
+    notes: str = "",
+) -> BoundReport:
+    """A report on the context's instance; ``params`` gain "N", the number of variables."""
+    return BoundReport(check, c.instance, {"N": c.ideal.ring.nvars, **params}, lhs, rhs, verdict, witness or {}, notes)
+
+
+def _skip(check: str, c: CheckContext, notes: str, params: dict) -> BoundReport:
+    """The report of a check whose hypotheses the context's ideal does not meet."""
+    return _report(check, c, params, None, None, SKIP, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +284,16 @@ def check_thm_lc(I: Ideal, ctx: CheckContext | None = None) -> BoundReport:
     """pd(S/I) <= mu^(2^alpha); re-checked with the count of minimal
     generators of degree <= alpha+1 in place of mu, and with the raw input
     generator count."""
-    _require_proper(I)
     c = _ctx(I, ctx)
     mu, alpha, pd = c.mu, c.alpha, c.pd
     rhs = Bound.power(mu, 2**alpha)
-    verdict = _verdict(pd, rhs)
     mu_small = c.table.min_gens_up_to(alpha + 1)
-    rhs_small = Bound.power(mu_small, 2**alpha)
     raw = len(I.gens)
-    if verdict == PASS and not rhs_small.geq(pd):
-        verdict = FAIL
-    if verdict == PASS and not Bound.power(raw, 2**alpha).geq(pd):
-        verdict = FAIL
-    return BoundReport(
-        check="thm_lc",
-        instance=c.instance,
-        params={"N": I.ring.nvars, "mu": mu, "alpha": alpha, "mu_low_degree": mu_small, "mu_raw": raw},
-        lhs=pd,
-        rhs=rhs,
-        verdict=verdict,
-        witness={"betti": _betti_witness(c.table)},
-        notes="also checked with generators of degree <= alpha+1 and with the raw generator count",
+    verdict = _verdict(pd, rhs, Bound.power(mu_small, 2**alpha).geq(pd), Bound.power(raw, 2**alpha).geq(pd))
+    return _report(
+        "thm_lc", c, {"mu": mu, "alpha": alpha, "mu_low_degree": mu_small, "mu_raw": raw}, pd, rhs, verdict,
+        {"betti": _betti_witness(c.table)},
+        "also checked with generators of degree <= alpha+1 and with the raw generator count",
     )
 
 
@@ -314,88 +305,59 @@ def check_thm_prime(
 ) -> BoundReport:
     """pd(S/I) <= (h^(2^(alpha+3)-3))^(2^alpha) for unmixed radical ideals,
     plus the ingredient bound on generators of degree <= alpha+1."""
-    _require_proper(I)
+    c = _ctx(I, ctx)
     if not user_asserts_unmixed_radical:
         raise ValueError("the unmixed-radical hypothesis must be asserted by the caller")
-    c = _ctx(I, ctx)
     if h is None:
         h = I.ring.nvars - quotient_dimension(I)
     alpha, pd = c.alpha, c.pd
-    exponent = (2 ** (alpha + 3) - 3) * 2**alpha
-    rhs = Bound.power(h, exponent)
-    verdict = _verdict(pd, rhs)
-    ingredient = Bound.power(h, 2 ** (alpha + 3) - 3)
-    if verdict == PASS and not ingredient.geq(c.table.min_gens_up_to(alpha + 1)):
-        verdict = FAIL
-    return BoundReport(
-        check="thm_prime",
-        instance=c.instance,
-        params={"N": I.ring.nvars, "h": h, "alpha": alpha},
-        lhs=pd,
-        rhs=rhs,
-        verdict=verdict,
-        witness={"betti": _betti_witness(c.table), "beta0_low": c.table.min_gens_up_to(alpha + 1)},
-        notes="ingredient bound beta_{0,<=alpha+1}(I) <= h^(2^(alpha+3)-3) also enforced",
+    rhs = Bound.power(h, (2 ** (alpha + 3) - 3) * 2**alpha)
+    beta0_low = c.table.min_gens_up_to(alpha + 1)
+    verdict = _verdict(pd, rhs, Bound.power(h, 2 ** (alpha + 3) - 3).geq(beta0_low))
+    return _report(
+        "thm_prime", c, {"h": h, "alpha": alpha}, pd, rhs, verdict,
+        {"betti": _betti_witness(c.table), "beta0_low": beta0_low},
+        "ingredient bound beta_{0,<=alpha+1}(I) <= h^(2^(alpha+3)-3) also enforced",
     )
 
 
-def _generator_degree_window(c: CheckContext) -> tuple[int, int]:
-    degs = [j for (i, j) in c.table.entries if i == 1]
-    return min(degs), max(degs)
+def _window_skip(check: str, c: CheckContext) -> BoundReport | None:
+    """The skip report of a regularity bound, which needs mu >= 2 and all
+    minimal generator degrees in [2, D]; None when both hold."""
+    dmin = min(j for (i, j) in c.table.entries if i == 1)
+    if c.mu >= 2 and dmin >= 2:
+        return None
+    return _skip(check, c, "needs mu >= 2 and generator degrees in [2, D]",
+                 {"mu": c.mu, "min_gen_degree": dmin, "D": c.max_gen_degree})
+
+
+def _reg_tower(base: int, pd_bound: Bound) -> Bound:
+    """base^(2^(pd_bound-2)), the regularity bound on top of a pd bound."""
+    return Bound.power(base, Bound.power(2, pd_bound.minus_small(2)))
 
 
 def check_coroll_reg(I: Ideal, ctx: CheckContext | None = None) -> BoundReport:
     """reg(I) <= D^(2^(mu^(2^alpha)-2)) when mu >= 2 and all minimal
     generator degrees lie in [2, D]."""
-    _require_proper(I)
     c = _ctx(I, ctx)
-    mu = c.mu
-    dmin, D = _generator_degree_window(c)
-    if mu < 2 or dmin < 2:
-        return BoundReport(
-            check="coroll_reg",
-            instance=c.instance,
-            params={"N": I.ring.nvars, "mu": mu, "min_gen_degree": dmin, "D": D},
-            lhs=None,
-            rhs=None,
-            verdict=SKIP,
-            notes="needs mu >= 2 and generator degrees in [2, D]",
-        )
-    alpha = c.alpha
-    tower = Bound.power(mu, 2**alpha)
-    rhs = Bound.power(D, Bound.two_to(tower.minus_small(2)))
+    if (skip := _window_skip("coroll_reg", c)) is not None:
+        return skip
+    mu, alpha, D = c.mu, c.alpha, c.max_gen_degree
+    rhs = _reg_tower(D, Bound.power(mu, 2**alpha))
     lhs = c.table.ideal_reg()
-    return BoundReport(
-        check="coroll_reg",
-        instance=c.instance,
-        params={"N": I.ring.nvars, "mu": mu, "alpha": alpha, "D": D},
-        lhs=lhs,
-        rhs=rhs,
-        verdict=_verdict(lhs, rhs),
-        witness={"betti": _betti_witness(c.table)},
-    )
+    return _report("coroll_reg", c, {"mu": mu, "alpha": alpha, "D": D}, lhs, rhs, _verdict(lhs, rhs),
+                   {"betti": _betti_witness(c.table)})
 
 
 def check_coroll_pd_reg(I: Ideal, ctx: CheckContext | None = None) -> BoundReport:
     """pd(S/I) <= mu^(2^reg(S/I)); the chain alpha <= reg used by its proof
     is asserted as well."""
-    _require_proper(I)
     c = _ctx(I, ctx)
     mu, reg, pd = c.mu, c.reg, c.pd
     rhs = Bound.power(mu, 2**reg)
-    verdict = _verdict(pd, rhs)
-    if c.alpha > reg:
-        verdict = FAIL
-    return BoundReport(
-        check="coroll_pd_reg",
-        instance=c.instance,
-        params={"N": I.ring.nvars, "mu": mu, "reg": reg, "alpha": c.alpha},
-        lhs=pd,
-        rhs=rhs,
-        verdict=verdict,
-        witness={"betti": _betti_witness(c.table)},
-        notes="alpha(S/I) <= reg(S/I) asserted",
-    )
+    return _report("coroll_pd_reg", c, {"mu": mu, "reg": reg, "alpha": c.alpha}, pd, rhs,
+                   _verdict(pd, rhs, c.alpha <= reg), {"betti": _betti_witness(c.table)},
+                   "alpha(S/I) <= reg(S/I) asserted")
 
 
 def _syz_gamma(I: Ideal, c: CheckContext, seed: int) -> tuple[int | None, int, dict]:
@@ -425,140 +387,71 @@ def _syz_gamma(I: Ideal, c: CheckContext, seed: int) -> tuple[int | None, int, d
     return C, gamma, witness
 
 
+def _two_seed_section(I: Ideal, c: CheckContext, seed: int) -> tuple[int | None, int, list[dict], bool, str]:
+    """The section data of the two seeds derived from ``seed``: C and gamma
+    of the first, both witnesses, whether the two agree on C (a disagreement
+    fails the check) and the note saying so."""
+    runs = [_syz_gamma(I, c, seed=seed * 2 + k + 1) for k in (0, 1)]
+    agree = runs[0][0] == runs[1][0]
+    notes = "two-seed agreement on the section data" if agree else "seed disagreement on t_2 of the section"
+    return runs[0][0], runs[0][1], [w for _, _, w in runs], agree, notes
+
+
 def check_thm_syz(I: Ideal, seed: int = 0, ctx: CheckContext | None = None) -> BoundReport:
     """pd(S/I) <= mu^(2^(gamma-1)) with gamma = max{C, D} and C bounding the
     second syzygies of a generic (depth+1)-fold hyperplane section.
 
     Run twice with independent seeds; both verdicts and both gamma values are
     reported, and the two runs must agree."""
-    _require_proper(I)
     c = _ctx(I, ctx, seed)
     mu, pd = c.mu, c.pd
-    runs = []
-    for k in (0, 1):
-        C, gamma, witness = _syz_gamma(I, c, seed=seed * 2 + k + 1)
-        runs.append((C, gamma, witness))
-    gamma = runs[0][1]
+    C, gamma, witnesses, agree, notes = _two_seed_section(I, c, seed)
     rhs = Bound.power(mu, 2 ** max(gamma - 1, 0))
-    verdict = _verdict(pd, rhs)
-    if runs[0][0] != runs[1][0]:
-        verdict = FAIL
-        notes = "seed disagreement on t_2 of the section"
-    else:
-        notes = "two-seed agreement on the section data"
-    return BoundReport(
-        check="thm_syz",
-        instance=c.instance,
-        params={"N": I.ring.nvars, "mu": mu, "D": c.max_gen_degree, "depth": c.depth,
-                "C": runs[0][0], "gamma": gamma},
-        lhs=pd,
-        rhs=rhs,
-        verdict=verdict,
-        witness={"runs": [r[2] for r in runs], "betti": _betti_witness(c.table)},
-        notes=notes,
+    return _report(
+        "thm_syz", c, {"mu": mu, "D": c.max_gen_degree, "depth": c.depth, "C": C, "gamma": gamma},
+        pd, rhs, _verdict(pd, rhs, agree), {"runs": witnesses, "betti": _betti_witness(c.table)}, notes,
     )
 
 
 def check_coroll_syz_reg(I: Ideal, seed: int = 0, ctx: CheckContext | None = None) -> BoundReport:
     """reg(I) <= D^(2^(mu^(2^(gamma-1))-2)) under the same section data,
     for mu >= 2 and generator degrees in [2, D]."""
-    _require_proper(I)
     c = _ctx(I, ctx, seed)
-    mu = c.mu
-    dmin, D = _generator_degree_window(c)
-    if mu < 2 or dmin < 2:
-        return BoundReport(
-            check="coroll_syz_reg",
-            instance=c.instance,
-            params={"N": I.ring.nvars, "mu": mu, "min_gen_degree": dmin, "D": D},
-            lhs=None,
-            rhs=None,
-            verdict=SKIP,
-            notes="needs mu >= 2 and generator degrees in [2, D]",
-        )
-    runs = [_syz_gamma(I, c, seed=seed * 2 + k + 1) for k in (0, 1)]
-    C, gamma, witness = runs[0]
-    tower = Bound.power(mu, 2 ** max(gamma - 1, 0))
-    rhs = Bound.power(D, Bound.two_to(tower.minus_small(2)))
+    if (skip := _window_skip("coroll_syz_reg", c)) is not None:
+        return skip
+    mu, D = c.mu, c.max_gen_degree
+    C, gamma, witnesses, agree, notes = _two_seed_section(I, c, seed)
+    rhs = _reg_tower(D, Bound.power(mu, 2 ** max(gamma - 1, 0)))
     lhs = c.table.ideal_reg()
-    verdict = _verdict(lhs, rhs)
-    if runs[0][0] != runs[1][0]:
-        verdict = FAIL
-        notes = "seed disagreement on t_2 of the section"
-    else:
-        notes = "two-seed agreement on the section data"
-    return BoundReport(
-        check="coroll_syz_reg",
-        instance=c.instance,
-        params={"N": I.ring.nvars, "mu": mu, "D": D, "C": C, "gamma": gamma},
-        lhs=lhs,
-        rhs=rhs,
-        verdict=verdict,
-        witness=witness,
-        notes=notes,
-    )
+    return _report("coroll_syz_reg", c, {"mu": mu, "D": D, "C": C, "gamma": gamma}, lhs, rhs,
+                   _verdict(lhs, rhs, agree), witnesses[0], notes)
 
 
 def check_thm_jason(I: Ideal, r_values: Sequence[int] = (1, 2, 3, 4), ctx: CheckContext | None = None) -> list[BoundReport]:
     """For each r: with delta = reg_{1/r}(S/I), pd(S/I) <= r * mu^(2^delta),
     and for mu >= 2 also reg(I) <= (delta+1)^(2^(r*mu^(2^delta)-2))."""
-    _require_proper(I)
     c = _ctx(I, ctx)
     mu, pd = c.mu, c.pd
     out = []
     for r in r_values:
         delta = frac_reg(c.table, r)
+        params = {"mu": mu, "r": r, "delta": delta}
         rhs = Bound.power(mu, 2**delta, scale=r)
-        verdict = _verdict(pd, rhs)
-        out.append(BoundReport(
-            check="thm_jason",
-            instance=c.instance,
-            params={"N": I.ring.nvars, "mu": mu, "r": r, "delta": delta},
-            lhs=pd,
-            rhs=rhs,
-            verdict=verdict,
-            witness={"betti": _betti_witness(c.table)},
-        ))
-        if mu >= 2:
-            tower = Bound.power(mu, 2**delta, scale=r)
-            rhs2 = Bound.power(delta + 1, Bound.two_to(tower.minus_small(2)))
-            lhs2 = c.table.ideal_reg()
-            out.append(BoundReport(
-                check="coroll_jason",
-                instance=c.instance,
-                params={"N": I.ring.nvars, "mu": mu, "r": r, "delta": delta},
-                lhs=lhs2,
-                rhs=rhs2,
-                verdict=_verdict(lhs2, rhs2),
-                witness={},
-            ))
-        else:
-            out.append(BoundReport(
-                check="coroll_jason",
-                instance=c.instance,
-                params={"N": I.ring.nvars, "mu": mu, "r": r},
-                lhs=None,
-                rhs=None,
-                verdict=SKIP,
-                notes="needs mu >= 2",
-            ))
+        out.append(_report("thm_jason", c, params, pd, rhs, _verdict(pd, rhs), {"betti": _betti_witness(c.table)}))
+        if mu < 2:
+            out.append(_skip("coroll_jason", c, "needs mu >= 2", {"mu": mu, "r": r}))
+            continue
+        rhs2 = _reg_tower(delta + 1, rhs)
+        lhs2 = c.table.ideal_reg()
+        out.append(_report("coroll_jason", c, params, lhs2, rhs2, _verdict(lhs2, rhs2)))
     return out
 
 
 def check_lemma_reduction(I: Ideal, seed: int = 0, ctx: CheckContext | None = None) -> BoundReport:
     """alpha is unchanged by one verified-regular generic linear section."""
-    _require_proper(I)
     c = _ctx(I, ctx, seed)
     if c.depth <= 0:
-        return BoundReport(
-            check="lemma_reduction",
-            instance=c.instance,
-            params={"N": I.ring.nvars, "depth": c.depth},
-            lhs=None,
-            rhs=None,
-            verdict=SKIP,
-            notes="needs depth(S/I) > 0",
-        )
+        return _skip("lemma_reduction", c, "needs depth(S/I) > 0", {"depth": c.depth})
     alphas = []
     tables = []
     for k in (0, 1):
@@ -571,18 +464,12 @@ def check_lemma_reduction(I: Ideal, seed: int = 0, ctx: CheckContext | None = No
         alphas.append(alpha_of(table2))
         tables.append(table2)
     a1 = c.alpha
-    ok = alphas[0] == a1 and alphas[1] == a1
-    return BoundReport(
-        check="lemma_reduction",
-        instance=c.instance,
-        params={"N": I.ring.nvars, "depth": c.depth, "alpha": a1,
-                "alpha_section": alphas[0], "alpha_section_seed2": alphas[1]},
-        lhs=alphas[0],
-        rhs=Bound.of(a1),
-        verdict=PASS if ok else FAIL,
-        witness={"betti": _betti_witness(c.table),
-                 "betti_section": _betti_witness(tables[0])},
-        notes="equality check, two independent seeds",
+    return _report(
+        "lemma_reduction", c,
+        {"depth": c.depth, "alpha": a1, "alpha_section": alphas[0], "alpha_section_seed2": alphas[1]},
+        alphas[0], Bound.of(a1), PASS if alphas == [a1, a1] else FAIL,
+        {"betti": _betti_witness(c.table), "betti_section": _betti_witness(tables[0])},
+        "equality check, two independent seeds",
     )
 
 
@@ -595,35 +482,27 @@ def check_remark_deg(
     """After delta-1 faithful iterations the truncated leading monomials
     generate in(I) through degree delta, and the output size of degree <=
     delta stays within mu^(2^(delta-1)) (interreduction disabled)."""
-    _require_proper(I)
+    c = _ctx(I, ctx)
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    c = _ctx(I, ctx)
     trunc = truncated_initial_generators(I, order, delta)
     full_lms = initial_exponents(I, order)
-    trunc_lms = monomials.minimalize(trunc.leading_monomials())
-    generates = True
-    for d in range(delta + 1):
-        for m in monomials.of_degree(I.ring.nvars, d):
-            if monomials.member(m, full_lms) != monomials.member(m, trunc_lms):
-                generates = False
-                break
-        if not generates:
-            break
+
+    def through_delta(gens: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+        return tuple(m for m in gens if sum(m) <= delta)
+
+    # two monomial ideals agree through degree delta exactly when their
+    # minimal generators of degree <= delta are the same (minimalize sorts them)
+    generates = through_delta(monomials.minimalize(trunc.leading_monomials())) == through_delta(full_lms)
     mu = sum(1 for g in I.gens if g.degree() <= delta)
     count = sum(1 for g in trunc.elements if g.degree() <= delta)
     rhs = Bound.power(mu, 2 ** (delta - 1))
-    verdict = PASS if generates and rhs.geq(count) else FAIL
-    return BoundReport(
-        check="remark_deg",
-        instance=c.instance,
-        params={"N": I.ring.nvars, "delta": delta, "order": order.name, "mu_low": mu},
-        lhs=count,
-        rhs=rhs,
-        verdict=verdict,
-        witness={"truncated_size": len(trunc.elements), "initial_ideal_size": len(full_lms),
-                 "generates_through_delta": generates},
-        notes="faithful iterations (no product criterion, no interreduction)",
+    return _report(
+        "remark_deg", c, {"delta": delta, "order": order.name, "mu_low": mu}, count, rhs,
+        _verdict(count, rhs, generates),
+        {"truncated_size": len(trunc.elements), "initial_ideal_size": len(full_lms),
+         "generates_through_delta": generates},
+        "faithful iterations (no product criterion, no interreduction)",
     )
 
 
@@ -641,7 +520,6 @@ def check_semicontinuity_and_taylor(I: Ideal, ctx: CheckContext | None = None) -
     """beta_{i,j}(S/I) <= beta_{i,j}(S/in(I)) entrywise (grevlex, plus lex on
     small instances), and for monomial input the Taylor bound
     beta_i <= C(r, i) over the raw generator count r."""
-    _require_proper(I)
     c = _ctx(I, ctx)
     table = c.table
     orders = [GREVLEX]
@@ -655,44 +533,24 @@ def check_semicontinuity_and_taylor(I: Ideal, ctx: CheckContext | None = None) -
             initial_exponents(I, order), I.ring.nvars, I.ring.char
         )
         compared[order.name] = _betti_witness(in_table)
-        for (i, j), v in table.entries.items():
-            if v > in_table.beta(i, j):
-                ok = False
-    taylor_ok = True
+        ok = ok and all(v <= in_table.beta(i, j) for (i, j), v in table.entries.items())
     if I.is_monomial:
         r = len(I.gens)
-        for i in range(table.pd() + 1):
-            bi = sum(v for (ii, _), v in table.entries.items() if ii == i)
-            if bi > math.comb(r, i):
-                taylor_ok = False
-    verdict = PASS if ok and taylor_ok else FAIL
-    return BoundReport(
-        check="semicontinuity_and_taylor",
-        instance=c.instance,
-        params={"N": I.ring.nvars, "orders": [o.name for o in orders], "monomial": I.is_monomial},
-        lhs=None,
-        rhs=None,
-        verdict=verdict,
-        witness={"betti": _betti_witness(table), "initial_tables": compared},
-    )
+        ok = ok and all(sum(v for (ii, _), v in table.entries.items() if ii == i) <= math.comb(r, i)
+                        for i in range(table.pd() + 1))
+    return _report("semicontinuity_and_taylor", c, {"orders": [o.name for o in orders], "monomial": I.is_monomial},
+                   None, None, PASS if ok else FAIL,
+                   {"betti": _betti_witness(table), "initial_tables": compared})
 
 
 def check_mccullough(I: Ideal, ctx: CheckContext | None = None) -> BoundReport:
     """Optional: reg(S/I) <= sum_{i<=c} t_i + (prod_{i<=c} t_i)/(c-1)! with
     c = ceil(N/2), evaluated when the resolution reaches index c."""
-    _require_proper(I)
     c = _ctx(I, ctx)
     half = -(-I.ring.nvars // 2)
     if c.pd < half:
-        return BoundReport(
-            check="mccullough",
-            instance=c.instance,
-            params={"N": I.ring.nvars, "c": half, "pd": c.pd},
-            lhs=None,
-            rhs=None,
-            verdict=SKIP,
-            notes="resolution shorter than ceil(N/2); t_i undefined beyond pd",
-        )
+        return _skip("mccullough", c, "resolution shorter than ceil(N/2); t_i undefined beyond pd",
+                     {"c": half, "pd": c.pd})
     ts = c.table.ts()
     total = sum(ts[1:half + 1])
     prod = 1
@@ -700,16 +558,8 @@ def check_mccullough(I: Ideal, ctx: CheckContext | None = None) -> BoundReport:
         prod *= ts[i]
     rhs_frac = Fraction(total) + Fraction(prod, math.factorial(half - 1))
     lhs = c.reg
-    verdict = PASS if Fraction(lhs) <= rhs_frac else FAIL
-    return BoundReport(
-        check="mccullough",
-        instance=c.instance,
-        params={"N": I.ring.nvars, "c": half, "t": ts[1:half + 1]},
-        lhs=lhs,
-        rhs=Bound.of(math.ceil(rhs_frac)),
-        verdict=verdict,
-        notes=f"exact rational rhs {rhs_frac}",
-    )
+    return _report("mccullough", c, {"c": half, "t": ts[1:half + 1]}, lhs, Bound.of(math.ceil(rhs_frac)),
+                   PASS if Fraction(lhs) <= rhs_frac else FAIL, notes=f"exact rational rhs {rhs_frac}")
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +572,6 @@ FAMILIES = (
     "borel",
     "edge-ideal",
     "complete-intersection",
-    "from-file",
 )
 
 _CI_VOLUME_BUDGET = 324
@@ -736,11 +585,8 @@ class InstanceSpec:
     max_degree: int
     seed: int
     prime: int = 32003
-    path: str | None = None  # for the from-file family
 
     def label(self) -> str:
-        if self.family == "from-file":
-            return f"from-file/{self.path}"
         return f"{self.family}/N{self.nvars}g{self.ngens}D{self.max_degree}s{self.seed}"
 
 
@@ -813,15 +659,6 @@ def generate_instance(spec: InstanceSpec) -> tuple[Ideal, dict]:
     """Reproducible ideal from the named family, plus metadata."""
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}")
-    if spec.family == "from-file":
-        from .ideal_io import parse_ideal
-
-        if not spec.path:
-            raise ValueError("from-file instances need a path")
-        with open(spec.path, "r", encoding="utf-8") as fh:
-            I, meta = parse_ideal(fh.read())
-        meta["family"] = spec.family
-        return I, meta
     if spec.nvars < 1 or spec.ngens < 1 or spec.max_degree < 1:
         raise ValueError("inconsistent instance spec")
     rng = random.Random(spec.seed)
@@ -924,14 +761,13 @@ def run_all_checks(
         return [r for run in CHECKS.values() for r in run(ctx, meta or {}, r_values)]
 
 
-def corpus_specs(
-    size: int,
-    seed: int,
-    nvars_max: int = 6,
-    ngens_max: int = 6,
-    dmax: int = 4,
-    prime: int = 32003,
-) -> list[InstanceSpec]:
+# the corpus draws N, the generator count and the degree bound up to these
+_CORPUS_NVARS_MAX = 6
+_CORPUS_NGENS_MAX = 6
+_CORPUS_DMAX = 4
+
+
+def corpus_specs(size: int, seed: int, prime: int = 32003) -> list[InstanceSpec]:
     """A deterministic spread of instance specs across the five random families."""
     weights = {
         "random-monomial": 0.26,
@@ -951,9 +787,9 @@ def corpus_specs(
     for idx in range(size):
         u = rng.random()
         fam = next(f for f, cutoff in zip(fams, cum) if u <= cutoff)
-        n = rng.randint(2, nvars_max)
-        g = rng.randint(2 if fam != "random-monomial" else 1, ngens_max)
-        d = rng.randint(2, dmax)
+        n = rng.randint(2, _CORPUS_NVARS_MAX)
+        g = rng.randint(2 if fam != "random-monomial" else 1, _CORPUS_NGENS_MAX)
+        d = rng.randint(2, _CORPUS_DMAX)
         specs.append(InstanceSpec(fam, n, g, d, seed=seed * 1_000_003 + idx, prime=prime))
     return specs
 

@@ -169,20 +169,19 @@ def test_truncated_initial_generators_examples():
 
 
 def test_truncation_matches_full_gb_through_delta():
-    rng = random.Random(3)
+    from bettibounds import monomials as M
     from bettibounds.verifier import InstanceSpec, generate_instance
 
-    for k in range(6):
-        spec = InstanceSpec("random-homogeneous", 3, 3, 3, seed=900 + k)
+    specs = [InstanceSpec("random-homogeneous", 3, 3, 3, seed=900 + k) for k in range(6)]
+    # degrees 1, 1, 2, 2, 2: the two dense linear forms share their leading monomial
+    specs.append(InstanceSpec("random-homogeneous", 5, 5, 3, seed=1))
+    for spec in specs:
         I, _ = generate_instance(spec)
         full = initial_exponents(I, GREVLEX)
-        for delta in (2, 3):
-            tr = truncated_initial_generators(I, GREVLEX, delta)
-            tl = tr.leading_monomials()
-            from bettibounds import monomials as M
-
+        for delta in (1, 2, 3):
+            tl = truncated_initial_generators(I, GREVLEX, delta).leading_monomials()
             for d in range(delta + 1):
-                for m in _monos(3, d):
+                for m in _monos(I.ring.nvars, d):
                     assert M.member(m, tl) == M.member(m, full)
 
 

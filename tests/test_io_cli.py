@@ -49,6 +49,8 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         parse_ideal("ring 2 6 x y\nx*y\n")  # p not prime
     with pytest.raises(ParseError):
+        parse_ideal("ring 0 32003\n")  # no variables
+    with pytest.raises(ParseError):
         parse_ideal("")
     with pytest.raises(ParseError):
         parse_ideal("ring 2 32003 x y\nx^\n")
@@ -193,12 +195,12 @@ def test_cli_parse_error_exit_code(tmp_path):
 
 
 def test_characteristic_of_2_31_or_more_is_refused_before_primality(tmp_path, monkeypatch, capsys):
-    from bettibounds import ideal_io
+    from bettibounds import polyring
 
     def no_trial_division(n):
         raise AssertionError("primality tested on an out-of-range characteristic")
 
-    monkeypatch.setattr(ideal_io, "is_prime", no_trial_division)
+    monkeypatch.setattr(polyring, "is_prime", no_trial_division)
     text = "ring 2 1000000000000000003 x y\nx*y\n"
     with pytest.raises(ParseError, match=r"2\^31"):
         parse_ideal(text)

@@ -45,7 +45,7 @@ I_X = Ideal(R2, [X])
 
 def test_bound_exact_and_symbolic():
     b = Bound.power(3, 2)
-    assert b.is_exact() and b.value == 9 and b.geq(9) and not b.geq(10)
+    assert b.value is not None and b.value == 9 and b.geq(9) and not b.geq(10)
     t = Bound.power(6, 2 ** 20)  # 6^(2^20): materializes (about 2.7e6 bits? no: 2^20*2.58 bits)
     # either exact or symbolic, comparisons must hold regardless
     assert t.geq(10 ** 9)
@@ -269,17 +269,6 @@ def test_generate_instance_families():
 
     with pytest.raises(ValueError):
         generate_instance(InstanceSpec("mystery", 3, 3, 3, seed=0))
-
-
-def test_generate_instance_from_file(tmp_path):
-    p = tmp_path / "in.txt"
-    p.write_text("ring 2 32003 x y\n! height 1\nx^2 + y^2\n", encoding="utf-8")
-    spec = InstanceSpec("from-file", 0, 0, 0, seed=0, path=str(p))
-    I, meta = generate_instance(spec)
-    assert len(I.gens) == 1 and meta["height"] == 1 and meta["family"] == "from-file"
-    assert spec.label().endswith("in.txt")
-    with pytest.raises(ValueError):
-        generate_instance(InstanceSpec("from-file", 0, 0, 0, seed=0))
 
 
 def test_five_cycle_edge_ideal_is_unmixed():
