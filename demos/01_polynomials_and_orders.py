@@ -1,9 +1,9 @@
-"""Polynomials over a prime field, monomial orders, coordinate changes.
+"""Polynomials over a prime field and monomial orders.
 
 Run:  python demos/01_polynomials_and_orders.py
 """
 
-from bettibounds import GREVLEX, LEX, PolyRing, apply_linear_change, format_poly
+from bettibounds import GREVLEX, LEX, PolyRing, format_poly
 
 ring = PolyRing(3, 32003, ("x", "y", "z"))
 x, y, z = ring.variables()
@@ -21,9 +21,3 @@ print("leading monomial, lex:    ", g.leading_monomial(LEX))
 # within degree 2: x^2 > xy > y^2 > xz > yz > z^2 in grevlex
 degree2 = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
 print("\ngrevlex order on degree 2:", sorted(degree2, key=GREVLEX.key, reverse=True))
-
-# a linear change of coordinates preserves degrees and homogeneity
-M = [[1, 0, 0], [1, 1, 0], [0, 2, 1]]  # x -> x, y -> x + y, z -> 2y + z
-h = apply_linear_change(f, M)
-print("\nf after substitution:", format_poly(h))
-print("degree preserved:", h.degree() == f.degree())

@@ -1,5 +1,4 @@
-"""Groebner bases, the literal one-round iteration, degree truncation,
-colon ideals and saturation.
+"""Groebner bases, the literal one-round iteration and degree truncation.
 
 Run:  python demos/02_groebner_and_truncation.py
 """
@@ -11,10 +10,7 @@ from bettibounds import (
     buchberger_iteration,
     format_poly,
     groebner_basis,
-    ideal_quotient,
-    irrelevant_ideal,
     s_polynomial,
-    saturation,
     truncated_initial_generators,
 )
 
@@ -36,9 +32,3 @@ print("reduced Groebner basis:", [format_poly(g) for g in gb.elements])
 # the truncated run only needs delta - 1 rounds to see in(I) through degree delta
 tr = truncated_initial_generators(I, GREVLEX, 3)
 print("leading monomials through degree 3:", sorted(tr.leading_monomials()))
-
-# colon and saturation
-J = Ideal(ring, [x * x, x * y])
-print("\nJ = (x^2, x*y)")
-print("J : x =", [format_poly(g) for g in ideal_quotient(J, x).gens])
-print("sat(J, m) =", [format_poly(g) for g in saturation(J, irrelevant_ideal(ring)).gens])

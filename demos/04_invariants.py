@@ -7,14 +7,13 @@ from bettibounds import (
     Ideal,
     PolyRing,
     alpha_of,
-    filter_regular_test,
     format_poly,
     frac_reg,
     generic_section,
     invariant_bundle,
     koszul_betti,
-    socle_degrees,
 )
+from bettibounds.groebner import form_regularity_with_image
 
 R4 = PolyRing(4, 32003, ("x", "y", "z", "w"))
 x, y, z, w = R4.variables()
@@ -28,14 +27,15 @@ print("invariants:", bundle.as_dict())
 # the quotient has depth zero; a regular section connects the two
 section = generic_section(I, 1, seed=3)
 print("\none generic linear form, regular:", section.regular_flags[0])
-J = section.ideal
+J = Ideal(R4, list(I.gens) + section.forms)
 print("alpha before:", bundle.alpha, "after:", alpha_of(koszul_betti(J)))
-print("socle degrees of the section:", socle_degrees(J))
+print("socle degrees of the section:", invariant_bundle(J).socle_degrees)
 
 # fractional regularity interpolates between reg (r=1) and generator data
 B = koszul_betti(I)
 print("\nreg_{1/r} for r = 1..4:", [frac_reg(B, r) for r in (1, 2, 3, 4)])
 
-# filter-regularity of a random linear form is certified exactly
+# (filter-)regularity of a linear form is certified exactly through Hilbert series
 ell = R4.linear_form([1, 2, 3, 4])
-print("\nfilter test for", format_poly(ell), "->", filter_regular_test(ell, I))
+regular, filter_regular, _ = form_regularity_with_image(I, ell)
+print("\n" + format_poly(ell), "-> regular:", regular, "| filter regular:", filter_regular)

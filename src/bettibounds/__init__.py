@@ -7,7 +7,6 @@ from .polyring import (
     MonomialOrder,
     Poly,
     PolyRing,
-    apply_linear_change,
     format_poly,
     order_by_name,
 )
@@ -18,39 +17,28 @@ from .groebner import (
     buchberger_iteration,
     divide,
     groebner_basis,
-    ideal_intersection,
-    ideal_quotient,
-    ideal_quotient_ideal,
-    ideals_equal,
     initial_exponents,
-    irrelevant_ideal,
     normal_form,
     reduced_gb,
     s_polynomial,
-    saturation,
     truncated_initial_generators,
 )
 from .resolution import (
     BettiTable,
     IncompleteTableError,
-    TaylorComplex,
     format_betti,
     koszul_betti,
-    minimize_taylor,
     monomial_betti,
-    taylor_complex,
 )
 from .invariants import (
-    FilterVerdict,
     GenericityError,
     InvariantBundle,
     SectionResult,
     alpha_of,
-    filter_regular_test,
     frac_reg,
     generic_section,
     invariant_bundle,
-    socle_degrees,
+    socle_of,
 )
 from .verifier import (
     CHECKS,

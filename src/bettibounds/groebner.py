@@ -1,5 +1,8 @@
 """Buchberger machinery: S-polynomials, division, iterations, Groebner bases,
-initial ideals, colon ideals and saturation.
+initial ideals and their Hilbert data, linear sections certified through
+Hilbert series, and normal-form bases of S/I.  Colon ideals, saturation
+and ideal membership are no part of it: the verifier needs none of them,
+and the tests keep them as oracle code (``tests/oracle.py``).
 
 Two entry points coexist on purpose.  ``buchberger_iteration`` is the literal
 one-round procedure (all S-pairs of the current list, divide, keep nonzero
@@ -16,14 +19,11 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import combinations
-from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from . import monomials
-from .linalg import rank_mod_p
 from .polyring import (
     GREVLEX,
-    LEX,
     Exponents,
     MonomialOrder,
     Packing,
@@ -31,7 +31,6 @@ from .polyring import (
     PolyRing,
     exp_divides,
     exp_gcd,
-    exp_mul,
     exp_sub,
 )
 
@@ -124,41 +123,6 @@ class GBasis:
 _PACK_BITS = 13
 
 
-def _packed_key_fn(order: MonomialOrder, pk: Packing):
-    """Monomial-order key on packed monomials, as a single integer.
-
-    Bigger key = bigger monomial.  The order object itself, not its name,
-    selects the key: only ``LEX``, ``GREVLEX`` and ``_ELIM_GREVLEX`` have
-    one, and any other order is refused.
-    """
-    shift, shift1 = pk.shift, pk.shift + 1
-    if order is GREVLEX:
-        def key(m: int) -> int:
-            return ((m >> shift) << shift1) - m
-        return key
-    if order is _ELIM_GREVLEX:
-        # the first variable's exponent above the grevlex key, whose values
-        # lie in (-2^shift, 2^(2 shift))
-        fmask, top = pk.fmask, 2 * shift + 1
-
-        def key(m: int) -> int:
-            return ((m & fmask) << top) + ((m >> shift) << shift1) - m
-        return key
-    if order is LEX:
-        # the fields in reverse, so that x_1 is the most significant
-        width, fmask, nvars = pk.width, pk.fmask, pk.nvars
-
-        def key(m: int) -> int:
-            k = 0
-            for _ in range(nvars):
-                k = (k << width) | (m & fmask)
-                m >>= width
-            return k
-        return key
-    raise ValueError(f"monomial order {order!r} has no packed key; the reducer "
-                     "supports only the module's grevlex, lex and elim+grevlex orders")
-
-
 class _Reducer:
     """Division engine for a growing divisor list, on packed monomials.
 
@@ -167,9 +131,10 @@ class _Reducer:
     guarded subtraction.  Each divisor is kept monic, as its packed leading
     monomial in ``lms`` and its tail, a list of (packed monomial, coefficient)
     pairs, in ``tails``; ``_buchberger`` keeps its whole basis here, and only
-    ``pack_terms`` and ``to_poly`` convert to and from ``Poly`` terms.  An
-    input exponent of 2^13 or more, a product exponent of 2^15 or more, or an
-    order without a packed key raises ValueError.
+    ``pack_terms`` and ``to_poly`` convert to and from ``Poly`` terms.  The
+    order object, not its name, brings the packed key.  An input exponent of
+    2^13 or more, a product exponent of 2^15 or more, or an order without a
+    packed key raises ValueError.
 
     Standard expression contract: every quotient term q satisfies
     in(q * g_t) <= in(f), and no monomial of the remainder is divisible by
@@ -181,7 +146,10 @@ class _Reducer:
         self.order = order
         self.p = ring.char
         self.pk = Packing(ring.nvars, _PACK_BITS)
-        self.keyfn = _packed_key_fn(order, self.pk)
+        if order.packed_key is None:
+            raise ValueError(f"monomial order {order!r} has no packed key; the reducer "
+                             "supports only orders that carry one, such as grevlex and lex")
+        self.keyfn = order.packed_key(self.pk)
         self.lms: list[int] = []
         self.tails: list[list[tuple[int, int]]] = []
 
@@ -547,27 +515,6 @@ def initial_exponents(I: Ideal, order: MonomialOrder = GREVLEX) -> tuple[Exponen
     return monomials.minimalize(reduced_gb(I, order).leading_monomials())
 
 
-def contains_poly(I: Ideal, f: Poly, order: MonomialOrder = GREVLEX) -> bool:
-    if f.is_zero:
-        return True
-    gb = reduced_gb(I, order)
-    if not gb.elements:
-        return False
-    return normal_form(f, gb.elements, order).is_zero
-
-
-def contains_ideal(I: Ideal, J: Ideal) -> bool:
-    """Is J a subset of I?"""
-    return all(contains_poly(I, g) for g in J.gens)
-
-
-def ideals_equal(I: Ideal, J: Ideal) -> bool:
-    """Mathematical equality, via canonical reduced Groebner bases."""
-    if I.ring != J.ring:
-        raise ValueError("ideals in different rings")
-    return reduced_gb(I, GREVLEX).elements == reduced_gb(J, GREVLEX).elements
-
-
 # ---------------------------------------------------------------------------
 # Hilbert data of a homogeneous ideal (through its initial ideal)
 # ---------------------------------------------------------------------------
@@ -582,34 +529,9 @@ def hilbert_numerator_of(I: Ideal) -> dict[int, int]:
     return out
 
 
-def quotient_hilbert_function(I: Ideal, d: int) -> int:
-    """dim_k (S/I)_d, from the cached numerator of ``hilbert_numerator_of``."""
-    if d < 0:
-        return 0
-    n = I.ring.nvars
-    return sum(c * comb(d - j + n - 1, n - 1) for j, c in hilbert_numerator_of(I).items() if j <= d)
-
-
 def quotient_dimension(I: Ideal) -> int:
     """Krull dimension of S/I (order-insensitive; computed on the staircase)."""
     return monomials.quotient_dimension(initial_exponents(I), I.ring.nvars)
-
-
-def homogeneous_component_dim(I: Ideal, d: int) -> int:
-    """dim_k I_d by straight row reduction of the span of monomial multiples.
-
-    Independent of any Groebner computation; used as a cross-check oracle.
-    """
-    ring = I.ring
-    mono_index = {m: idx for idx, m in enumerate(monomials.of_degree(ring.nvars, d))}
-    rows = []
-    for g in I.gens:
-        gd = g.degree()
-        if gd > d:
-            continue
-        for m in monomials.of_degree(ring.nvars, d - gd):
-            rows.append({mono_index[exp_mul(e, m)]: c for e, c in g.terms.items()})
-    return rank_mod_p(rows, ring.char)
 
 
 # ---------------------------------------------------------------------------
@@ -720,109 +642,6 @@ def draw_certified_form(
         if regular or (filter_regular and not need_regular):
             return coeffs, regular, image
     return None
-
-
-# ---------------------------------------------------------------------------
-# colon ideals and saturation
-# ---------------------------------------------------------------------------
-
-_ELIM_GREVLEX = MonomialOrder("elim+grevlex", lambda e: (e[0],) + GREVLEX.key(e[1:]))
-
-
-def _elim_order(base: MonomialOrder) -> MonomialOrder:
-    """The order eliminating the first variable, then ``base`` on the rest."""
-    if base is not GREVLEX:
-        raise ValueError(f"no elimination order over {base!r}; only grevlex has one")
-    return _ELIM_GREVLEX
-
-
-def _lift(f: Poly, big: PolyRing, tdeg: int) -> Poly:
-    return Poly(big, {(tdeg,) + e: c for e, c in f.terms.items()}, _normalized=True)
-
-
-def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    """I intersect J via one auxiliary variable of internal degree zero."""
-    ring = I.ring
-    if J.ring != ring:
-        raise ValueError("ideals in different rings")
-    if I.is_zero or J.is_zero:
-        return Ideal(ring, [])
-    if I.is_monomial and J.is_monomial:
-        gens = monomials.intersect(I.monomial_exponents(), J.monomial_exponents())
-        return Ideal.monomial(ring, gens)
-    big = PolyRing(ring.nvars + 1, ring.char, ("_t",) + ring.names)
-    polys = [_lift(f, big, 1) for f in I.gens]
-    one_minus_t = Poly(big, {(0,) * big.nvars: 1, (1,) + (0,) * ring.nvars: -1})
-    polys += [one_minus_t * _lift(g, big, 0) for g in J.gens]
-    gb = _buchberger(polys, _elim_order(GREVLEX), use_criterion=True)
-    kept = []
-    for g in gb:
-        if all(e[0] == 0 for e in g.terms):
-            kept.append(Poly(ring, {e[1:]: c for e, c in g.terms.items()}, _normalized=True))
-    return Ideal(ring, kept)
-
-
-def ideal_quotient(I: Ideal, f: Poly) -> Ideal:
-    """I : (f) = {g : g*f in I}, computed as (I intersect (f)) / f."""
-    if f.is_zero:
-        raise ValueError("colon by zero")
-    ring = I.ring
-    if I.is_zero:
-        return Ideal(ring, [])
-    if f.degree() == 0:
-        return I
-    if I.is_monomial and f.is_monomial():
-        u = next(iter(f.terms))
-        return Ideal.monomial(ring, monomials.colon_by_monomial(I.monomial_exponents(), u))
-    inter = ideal_intersection(I, Ideal(ring, [f]))
-    fm = f.monic(GREVLEX)
-    gens = []
-    for g in inter.gens:
-        qs, r = divide(g, [fm], GREVLEX)
-        if not r.is_zero:
-            raise AssertionError("intersection element not divisible by f")
-        gens.append(qs[0])
-    out = Ideal(ring, gens)
-    return Ideal(ring, reduced_gb(out, GREVLEX).elements)
-
-
-def ideal_quotient_ideal(I: Ideal, J: Ideal) -> Ideal:
-    """I : J = intersection over generators f of J of I : (f)."""
-    if J.is_zero:
-        raise ValueError("colon by the zero ideal")
-    if I.is_monomial and J.is_monomial:
-        gens = monomials.colon_by_ideal(I.monomial_exponents(), J.monomial_exponents())
-        return Ideal.monomial(I.ring, gens)
-    out: Ideal | None = None
-    for f in J.gens:
-        q = ideal_quotient(I, f)
-        out = q if out is None else ideal_intersection(out, q)
-    assert out is not None
-    return Ideal(I.ring, reduced_gb(out, GREVLEX).elements)
-
-
-def saturation(I: Ideal, J: Ideal) -> Ideal:
-    """Stable value of I : J : J : ... (Noetherian, so this terminates)."""
-    if J.is_zero:
-        raise ValueError("saturation by the zero ideal")
-    if any(g.degree() == 0 for g in J.gens):
-        return I
-    if I.is_monomial and J.is_monomial:
-        jexps = J.monomial_exponents()
-        if all(sum(e) == 1 for e in jexps) and {e.index(1) for e in jexps} == set(range(I.ring.nvars)):
-            # saturation with respect to the irrelevant ideal, combinatorially
-            gens = monomials.saturate_irrelevant(I.monomial_exponents(), I.ring.nvars)
-            return Ideal.monomial(I.ring, gens)
-    cur = I
-    while True:
-        nxt = ideal_quotient_ideal(cur, J)
-        if ideals_equal(nxt, cur):
-            return cur
-        cur = nxt
-
-
-def irrelevant_ideal(ring: PolyRing) -> Ideal:
-    return Ideal(ring, ring.variables())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Module-theoretic invariants of S/I: socle, alpha, fractional regularity,
-filter-regular and regular linear forms, and generic sections.
+"""Module-theoretic invariants of S/I: alpha, fractional regularity and
+socle degrees, read off a Betti table; regular and filter-regular linear
+forms, and generic sections.
 
 "Sufficiently general" is operationalized by drawing random coefficients over
 the (large) prime field and certifying the draw: filter-regularity is checked
@@ -13,21 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .groebner import (
-    Ideal,
-    QuotientBasis,
-    contains_ideal,
-    draw_certified_form,
-    form_regularity_with_image,
-    ideal_quotient,
-    ideal_quotient_ideal,
-    ideals_equal,
-    irrelevant_ideal,
-    quotient_dimension,
-    quotient_hilbert_function,
-    saturation,
-)
-from .linalg import rank_mod_p
+from .groebner import Ideal, draw_certified_form
 from .polyring import Poly
 from .resolution import BettiTable, koszul_betti
 
@@ -64,100 +51,24 @@ def frac_reg(B: BettiTable, r: int) -> int:
     return best
 
 
-# ---------------------------------------------------------------------------
-# socle
-# ---------------------------------------------------------------------------
+def socle_of(B: BettiTable) -> tuple[int, ...]:
+    """Degrees of a basis of soc(S/I), ascending, with multiplicity.
 
-def socle_degrees(I: Ideal) -> list[int]:
-    """Degrees (with multiplicity) of a basis of soc(S/I) = (I : m)/I.
-
-    Empty exactly when depth(S/I) > 0.  For Artinian quotients the socle is
-    read off kernels of the multiplication maps on normal-form bases; in
-    general it comes from the colon ideal, comparing Hilbert functions of
-    S/I and S/(I : m) degree by degree.
+    Over N variables H_N(x; S/I) = soc(S/I)(-N), so beta_{N,j} counts the
+    socle elements of degree j - N.  The socle is empty exactly when
+    depth(S/I) > 0, that is when pd < N.
     """
-    ring = I.ring
-    if I.is_zero:
-        return []
-    if quotient_dimension(I) == 0:
-        return _socle_artinian(I)
-    m = irrelevant_ideal(ring)
-    Q = ideal_quotient_ideal(I, m)
-    if ideals_equal(Q, I):
-        return []
-    stop = max(g.degree() for g in Q.gens)
-    out: list[int] = []
-    d = 0
-    while True:
-        diff = quotient_hilbert_function(I, d) - quotient_hilbert_function(Q, d)
-        if diff < 0:
-            raise AssertionError("colon ideal smaller than the ideal")
-        out.extend([d] * diff)
-        if d >= stop and diff == 0:
-            break
-        d += 1
-    return out
-
-
-def _socle_artinian(I: Ideal) -> list[int]:
-    qb = QuotientBasis(I)
-    p = I.ring.char
-    n = I.ring.nvars
-    out: list[int] = []
-    d = 0
-    while qb.dim(d):
-        h, hup = qb.dim(d), qb.dim(d + 1)
-        if hup == 0:
-            out.extend([d] * h)  # top degree: everything is killed by m
-            d += 1
-            continue
-        # column u: the products x_t * u for all t, stacked
-        cols: list[dict[int, int]] = [{} for _ in range(h)]
-        for t in range(n):
-            for u, col in enumerate(qb.mult_columns(t, d)):
-                for vidx, c in col.items():
-                    cols[u][t * hup + vidx] = c
-        out.extend([d] * (h - rank_mod_p(cols, p)))
-        d += 1
-    return out
+    B.require_complete()
+    N = B.nvars
+    return tuple(j - N for (i, j), v in B.items() if i == N for _ in range(v))
 
 
 # ---------------------------------------------------------------------------
-# filter-regularity and generic sections
+# generic sections and regular forms
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FilterVerdict:
-    filter_regular: bool
-    regular: bool
-
-
-def filter_regular_test(ell: Poly, I: Ideal, method: str = "hilbert") -> FilterVerdict:
-    """Is the linear form ell filter regular for S/I?
-
-    True iff (I : ell) is contained in the saturation of I, equivalently the
-    annihilator of ell in S/I has finite length.  The default certificate
-    compares Hilbert series numerators; method="colon" runs the literal
-    colon/saturation computation instead.
-    """
-    if ell.is_zero or ell.degree() != 1:
-        raise ValueError("need a nonzero linear form")
-    if method == "hilbert":
-        regular, filt, _ = form_regularity_with_image(I, ell)
-        return FilterVerdict(filter_regular=filt, regular=regular)
-    if method != "colon":
-        raise ValueError(f"unknown method {method!r}")
-    Q = ideal_quotient(I, ell)
-    regular = ideals_equal(Q, I)
-    if regular:
-        return FilterVerdict(True, True)
-    sat = saturation(I, irrelevant_ideal(I.ring))
-    return FilterVerdict(filter_regular=contains_ideal(sat, Q), regular=False)
-
 
 @dataclass
 class SectionResult:
-    ideal: Ideal
     forms: list[Poly]
     regular_flags: list[bool]
     substituted: Ideal | None = None
@@ -165,12 +76,12 @@ class SectionResult:
 
 
 def generic_section(I: Ideal, count: int, seed: int = 0) -> SectionResult:
-    """I + (l_1, ..., l_count) for verified filter-regular random linear forms.
+    """Random linear forms l_1, ..., l_count cutting S/I, each verified filter
+    regular on the successive quotient.
 
-    Each form is certified filter regular on the successive quotient and
-    flagged as honestly regular or not; deterministic for a fixed seed.
-
-    The successive quotients are tracked in substituted rings (one variable
+    Each form is flagged as honestly regular or not; deterministic for a
+    fixed seed.  The section ideal I + (l_1, ..., l_count) is not built:
+    the successive quotients are tracked in substituted rings (one variable
     eliminated per form), which keeps the certificates cheap; ``substituted``
     is the image of the section ideal there and ``absorbed`` counts the
     eliminated forms.  Each returned form lives in the original ring and is
@@ -183,7 +94,6 @@ def generic_section(I: Ideal, count: int, seed: int = 0) -> SectionResult:
     rng = random.Random(0x5EC ^ (seed * 2654435761 % 2**31))
     forms: list[Poly] = []
     flags: list[bool] = []
-    big = I
     small = I
     surviving = list(range(ring.nvars))
     absorbed = 0
@@ -198,7 +108,6 @@ def generic_section(I: Ideal, count: int, seed: int = 0) -> SectionResult:
         ell_big = ring.linear_form(big_coeffs)
         forms.append(ell_big)
         flags.append(regular)
-        big = Ideal(ring, list(big.gens) + [ell_big])
         if image is not None:
             k = max(i for i, cc in enumerate(coeffs) if cc)  # pivot used by the substitution
             small = image
@@ -206,7 +115,7 @@ def generic_section(I: Ideal, count: int, seed: int = 0) -> SectionResult:
             absorbed += 1
         else:
             small = Ideal(small.ring, list(small.gens) + [small.ring.linear_form(coeffs)])
-    return SectionResult(ideal=big, forms=forms, regular_flags=flags, substituted=small, absorbed=absorbed)
+    return SectionResult(forms=forms, regular_flags=flags, substituted=small, absorbed=absorbed)
 
 
 def find_regular_form(I: Ideal, seed: int = 0) -> tuple[Poly, Ideal | None] | None:
@@ -249,19 +158,18 @@ class InvariantBundle:
 
 
 def invariant_bundle(I: Ideal, seed: int = 0, table: BettiTable | None = None) -> InvariantBundle:
-    """All scalar invariants of S/I in one pass; depth is N - pd."""
+    """All scalar invariants of S/I, each read off one Betti table; depth is
+    N - pd, and the socle comes from the column i = N (``socle_of``)."""
     if table is None:
         table = koszul_betti(I, seed=seed)
     pd = table.pd()
-    depth = I.ring.nvars - pd
-    socle = tuple(socle_degrees(I)) if depth == 0 and not I.is_zero else ()
     return InvariantBundle(
         pd=pd,
-        depth=depth,
+        depth=I.ring.nvars - pd,
         reg=table.reg(),
         alpha=alpha_of(table),
         t=tuple(table.ts()),
-        socle_degrees=socle,
+        socle_degrees=socle_of(table),
         num_min_gens=table.mu(),
         max_gen_degree=table.max_gen_degree(),
     )

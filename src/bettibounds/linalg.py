@@ -2,10 +2,9 @@
 
 ``rank_mod_p`` takes vectors ``{index: value}`` and eliminates them with
 Python ints, so any characteristic works and nothing overflows.  Every rank
-of the package goes through it: the Koszul ranks and monomial strands of
-``resolution``, ``invariants.socle_degrees`` and the
-``groebner.homogeneous_component_dim`` oracle.  Rows or columns of a matrix
-give the same rank, so each caller passes whichever it builds more easily.
+of the package goes through it: the Koszul ranks and the monomial strands of
+``resolution``.  Rows or columns of a matrix give the same rank, so each
+caller passes whichever it builds more easily.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 These helpers treat a monomial ideal as the set of monomials divisible by at
 least one generator.  They back the staircase computations used everywhere
-else: normal-form bases, Hilbert series numerators, Krull dimension, colon
-and saturation fast paths.
+else: normal-form bases, Hilbert series numerators, Krull dimension and the
+lcm closures of the monomial strands.
 
 The checks of one instance ask for the same tables again: generic linear
 forms of two seeds give the same initial ideal (Galligo 1974; Bayer &
@@ -19,7 +19,7 @@ from contextvars import ContextVar
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
-from .polyring import Exponents, Packing, exp_divides, exp_gcd, exp_lcm, exp_sub
+from .polyring import Exponents, Packing, exp_divides
 
 
 T = TypeVar("T")
@@ -86,41 +86,6 @@ def of_degree(nvars: int, d: int) -> Iterator[Exponents]:
     for first in range(d + 1):
         for rest in of_degree(nvars - 1, d - first):
             yield (first,) + rest
-
-
-def colon_by_monomial(gens: Sequence[Exponents], u: Exponents) -> tuple[Exponents, ...]:
-    """Minimal generators of (gens) : x^u."""
-    return minimalize(exp_sub(g, exp_gcd(g, u)) for g in gens)
-
-
-def intersect(gens1: Sequence[Exponents], gens2: Sequence[Exponents]) -> tuple[Exponents, ...]:
-    """Minimal generators of the intersection of two monomial ideals."""
-    return minimalize(exp_lcm(a, b) for a in gens1 for b in gens2)
-
-
-def colon_by_ideal(gens: Sequence[Exponents], divisors: Sequence[Exponents]) -> tuple[Exponents, ...]:
-    """(gens) : (divisors) for monomial data, via intersection of colons."""
-    if not divisors:
-        raise ValueError("colon by the zero ideal")
-    out = colon_by_monomial(gens, divisors[0])
-    for u in divisors[1:]:
-        out = intersect(out, colon_by_monomial(gens, u))
-    return out
-
-
-def saturate_by_variable(gens: Sequence[Exponents], t: int) -> tuple[Exponents, ...]:
-    """(gens) : x_t^infinity -- zero out the t-th exponent of each generator."""
-    return minimalize(tuple(0 if i == t else x for i, x in enumerate(g)) for g in gens)
-
-
-def saturate_irrelevant(gens: Sequence[Exponents], nvars: int) -> tuple[Exponents, ...]:
-    """Saturation with respect to (x_1, ..., x_N): the intersection of the
-    single-variable saturations of the original ideal."""
-    gens = minimalize(gens)
-    out = saturate_by_variable(gens, 0)
-    for t in range(1, nvars):
-        out = intersect(out, saturate_by_variable(gens, t))
-    return minimalize(out)
 
 
 def quotient_dimension(gens: Sequence[Exponents], nvars: int) -> int:

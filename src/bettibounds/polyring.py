@@ -11,7 +11,7 @@ returns a fresh object, so they can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, le, sub
+from operator import le, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -38,14 +38,6 @@ def is_prime(n: int) -> bool:
 # exponent-vector helpers
 # ---------------------------------------------------------------------------
 
-def exp_deg(e: Exponents) -> int:
-    return sum(e)
-
-
-def exp_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(add, a, b))
-
-
 def exp_sub(a: Exponents, b: Exponents) -> Exponents:
     """a / b as exponent vectors; caller guarantees divisibility."""
     return tuple(map(sub, a, b))
@@ -54,10 +46,6 @@ def exp_sub(a: Exponents, b: Exponents) -> Exponents:
 def exp_divides(a: Exponents, b: Exponents) -> bool:
     """True when the monomial with exponents a divides the one with b."""
     return all(map(le, a, b))
-
-
-def exp_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
 
 
 def exp_gcd(a: Exponents, b: Exponents) -> Exponents:
@@ -88,7 +76,7 @@ class Packing:
       its fields, is the top field of its exponent part times
       (1 + 2^width + 2^(2 width) + ...);
     * grevlex: compare (degree, -e_N, ..., -e_1), that is the integer
-      2 * (degree << shift) - P (``groebner._packed_key_fn``).
+      2 * (degree << shift) - P (``GREVLEX.packed_key``).
     """
 
     __slots__ = ("nvars", "bits", "width", "shift", "fmask", "emask", "guards", "ones", "overflow")
@@ -150,11 +138,16 @@ class MonomialOrder:
 
     ``key`` maps an exponent vector to a flat integer tuple; bigger key means
     bigger monomial.  Keys of vectors of equal length are always comparable.
+    ``packed_key``, when the order has one, maps a ``Packing`` to the same
+    order as one integer key on the monomials it packs; the engine's reducer
+    runs only on orders that carry it.
     """
 
-    def __init__(self, name: str, key: Callable[[Exponents], tuple[int, ...]]):
+    def __init__(self, name: str, key: Callable[[Exponents], tuple[int, ...]],
+                 packed_key: Callable[[Packing], Callable[[int], int]] | None = None):
         self.name = name
         self._key = key
+        self.packed_key = packed_key
 
     def key(self, exps: Exponents) -> tuple[int, ...]:
         return self._key(exps)
@@ -180,8 +173,29 @@ def _lex_key(e: Exponents) -> tuple[int, ...]:
     return e
 
 
-GREVLEX = MonomialOrder("grevlex", _grevlex_key)
-LEX = MonomialOrder("lex", _lex_key)
+def _grevlex_packed_key(pk: Packing) -> Callable[[int], int]:
+    shift, shift1 = pk.shift, pk.shift + 1
+
+    def key(m: int) -> int:
+        return ((m >> shift) << shift1) - m
+    return key
+
+
+def _lex_packed_key(pk: Packing) -> Callable[[int], int]:
+    # the fields in reverse, so that x_1 is the most significant
+    width, fmask, nvars = pk.width, pk.fmask, pk.nvars
+
+    def key(m: int) -> int:
+        k = 0
+        for _ in range(nvars):
+            k = (k << width) | (m & fmask)
+            m >>= width
+        return k
+    return key
+
+
+GREVLEX = MonomialOrder("grevlex", _grevlex_key, _grevlex_packed_key)
+LEX = MonomialOrder("lex", _lex_key, _lex_packed_key)
 
 ORDERS: dict[str, MonomialOrder] = {"grevlex": GREVLEX, "lex": LEX}
 
@@ -464,57 +478,3 @@ def format_poly(f: Poly, order: MonomialOrder = GREVLEX) -> str:
         out += f" {sign} {body}"
     return out
 
-
-# ---------------------------------------------------------------------------
-# linear changes of coordinates
-# ---------------------------------------------------------------------------
-
-def mat_inv_mod(M: Sequence[Sequence[int]], p: int) -> list[list[int]] | None:
-    """Inverse of a square matrix mod p, or None if singular."""
-    n = len(M)
-    aug = [[M[i][j] % p for j in range(n)] + [int(i == j) for j in range(n)] for i in range(n)]
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][col], p - 2, p)
-        aug[row] = [(x * inv) % p for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[row])]
-        row += 1
-    return [r[n:] for r in aug]
-
-
-def apply_linear_change(f: Poly, M: Sequence[Sequence[int]]) -> Poly:
-    """Substitute x_j -> sum_i M[i][j] * x_i.
-
-    M must be invertible mod p; degrees and homogeneity are preserved.
-    """
-    ring = f.ring
-    n = ring.nvars
-    if len(M) != n or any(len(row) != n for row in M):
-        raise ValueError("matrix size does not match the ring")
-    if mat_inv_mod(M, ring.char) is None:
-        raise ValueError("singular change of coordinates")
-    images = [ring.linear_form([M[i][j] for i in range(n)]) for j in range(n)]
-    # cache powers of each image as needed
-    powers: dict[tuple[int, int], Poly] = {}
-
-    def image_power(j: int, k: int) -> Poly:
-        key = (j, k)
-        if key not in powers:
-            powers[key] = ring.one() if k == 0 else image_power(j, k - 1) * images[j]
-        return powers[key]
-
-    out = ring.zero()
-    for e, c in f.terms.items():
-        term = Poly(ring, {(0,) * n: c}, _normalized=True)
-        for j, k in enumerate(e):
-            if k:
-                term = term * image_power(j, k)
-        out = out + term
-    return out

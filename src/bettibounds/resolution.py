@@ -1,18 +1,14 @@
 """Graded Betti numbers of cyclic quotients S/I.
 
-Two independent algorithms are kept side by side and used as mutual oracles:
-
-* ``taylor_complex`` + ``minimize_taylor`` builds the subset-indexed free
-  resolution of a monomial ideal and cancels unit entries until the
-  resolution is minimal; the surviving ranks are the Betti numbers.
-* ``koszul_betti`` computes Tor through the Koszul complex on the variables.
-  For monomial ideals the complex splits into multigraded strands supported
-  on subset lcms, each a tiny simplicial computation.  A general ideal is
-  first cut down by verified-regular linear forms, which leaves the table
-  unchanged; the Z-graded pieces of what is left are realized on
-  normal-form bases, with degree caps from its initial ideal (upper
-  semicontinuity), and the finished table is validated against the Hilbert
-  series numerator.
+``koszul_betti`` computes Tor through the Koszul complex on the variables.
+For monomial ideals the complex splits into multigraded strands supported on
+subset lcms, each a tiny simplicial computation (``monomial_betti``).  A
+general ideal is first cut down by verified-regular linear forms, which
+leaves the table unchanged; the Z-graded pieces of what is left are realized
+on normal-form bases, with degree caps from its initial ideal (upper
+semicontinuity), and the finished table is validated against the Hilbert
+series numerator.  The tests check the strands against an independent
+engine, the minimized Taylor resolution (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from .groebner import (
     reduced_gb,
 )
 from .linalg import rank_mod_p
-from .polyring import GREVLEX, Exponents, Packing, Poly, PolyRing, exp_deg, exp_lcm, exp_sub
+from .polyring import GREVLEX, Exponents, Packing, Poly, PolyRing
 
 
 class IncompleteTableError(RuntimeError):
@@ -147,152 +143,6 @@ def format_betti(B: BettiTable) -> str:
             cells.append(f"{v if v else '.':>{width}}")
         lines.append("".join(cells) + f"   <- j-i = {r}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Taylor complex
-# ---------------------------------------------------------------------------
-
-_MAX_TAYLOR_GENS = 14
-
-
-class TaylorComplex:
-    """Subset-indexed free resolution of S/(u_1..u_r) for monomials u_i.
-
-    Basis elements of F_i are the size-i subsets of the generators, placed in
-    the multidegree of their lcm; the differential entry from subset L to
-    L minus its s-th element (ascending order) carries sign (-1)^(s+1) and
-    the monomial u_L / u_{L minus that element}.  d compose d = 0 is asserted
-    exactly at construction.
-    """
-
-    def __init__(self, gens: Sequence[Exponents], nvars: int, char: int):
-        if not gens:
-            raise ValueError("need at least one monomial")
-        if len(gens) > _MAX_TAYLOR_GENS:
-            raise ValueError(f"too many generators ({len(gens)}) for a subset-indexed resolution")
-        self.nvars = nvars
-        self.char = char
-        self.gens = tuple(tuple(g) for g in gens)
-        r = len(self.gens)
-        self.r = r
-        zero = (0,) * nvars
-        self.mdeg: dict[int, Exponents] = {0: zero}
-        for mask in range(1, 1 << r):
-            low = mask & -mask
-            self.mdeg[mask] = exp_lcm(self.mdeg[mask ^ low], self.gens[low.bit_length() - 1])
-        self.basis: list[list[int]] = [[] for _ in range(r + 1)]
-        for mask in range(1 << r):
-            self.basis[bin(mask).count("1")].append(mask)
-        # diff[i]: (row_mask, col_mask) -> coefficient; the monomial part is
-        # implicit (mdeg[col] - mdeg[row])
-        self.diff: list[dict[tuple[int, int], int]] = [dict() for _ in range(r + 1)]
-        for i in range(1, r + 1):
-            d = self.diff[i]
-            for mask in self.basis[i]:
-                s = 0
-                for t in range(r):
-                    if mask >> t & 1:
-                        s += 1
-                        d[(mask ^ (1 << t), mask)] = 1 if s % 2 else char - 1
-        self._assert_composition_zero()
-
-    def rank(self, i: int) -> int:
-        return len(self.basis[i])
-
-    def differential_entry(self, i: int, row_mask: int, col_mask: int) -> tuple[int, Exponents] | None:
-        """(coefficient, monomial exponents) of one entry of d_i, or None."""
-        c = self.diff[i].get((row_mask, col_mask))
-        if c is None:
-            return None
-        return c, exp_sub(self.mdeg[col_mask], self.mdeg[row_mask])
-
-    def _assert_composition_zero(self) -> None:
-        # entries between fixed (row, col) all carry the same monomial, so
-        # only the coefficient sums need to vanish
-        p = self.char
-        for i in range(2, self.r + 1):
-            by_col: dict[int, list[tuple[int, int]]] = {}
-            for (row, mid), c in self.diff[i - 1].items():
-                by_col.setdefault(mid, []).append((row, c))
-            acc: dict[tuple[int, int], int] = {}
-            for (mid, col), c1 in self.diff[i].items():
-                for row, c2 in by_col.get(mid, ()):
-                    key = (row, col)
-                    acc[key] = (acc.get(key, 0) + c1 * c2) % p
-            if any(v % p for v in acc.values()):
-                raise AssertionError("Taylor differentials do not compose to zero")
-
-
-def taylor_complex(monomials_in: Sequence, nvars: int | None = None, char: int = 32003) -> TaylorComplex:
-    """Build the complex from monomial Polys, an Ideal, or raw exponent tuples."""
-    if isinstance(monomials_in, Ideal):
-        return TaylorComplex(monomials_in.monomial_exponents(), monomials_in.ring.nvars, monomials_in.ring.char)
-    items = list(monomials_in)
-    if items and isinstance(items[0], Poly):
-        ring = items[0].ring
-        exps = []
-        for f in items:
-            if not f.is_monomial():
-                raise ValueError("Taylor complex needs monomial input")
-            exps.append(next(iter(f.terms)))
-        return TaylorComplex(exps, ring.nvars, ring.char)
-    if nvars is None:
-        raise ValueError("nvars required for raw exponent input")
-    return TaylorComplex([tuple(e) for e in items], nvars, char)
-
-
-def minimize_taylor(T: TaylorComplex) -> BettiTable:
-    """Cancel unit entries of the differentials until none remain.
-
-    An entry is a unit exactly when its row and column carry the same
-    multidegree.  Cancelling the pair (a, b) replaces d_i by its Schur-type
-    correction d[r,c] - d[r,b] d[a,b]^{-1} d[a,c] and simply deletes the b row
-    of d_{i+1} and the a column of d_{i-1}; the corrected entries stay single
-    monomials because all multidegrees are fixed by row and column.
-    """
-    p = T.char
-    basis = [list(level) for level in T.basis]
-    diff = [dict(d) for d in T.diff]
-    mdeg = T.mdeg
-
-    while True:
-        found = None
-        for i in range(1, T.r + 1):
-            for (a, b), c in diff[i].items():
-                if mdeg[a] == mdeg[b]:
-                    found = (i, a, b, c)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, a, b, c = found
-        inv = pow(c, p - 2, p)
-        col_b = {row: v for (row, cc), v in diff[i].items() if cc == b and row != a}
-        row_a = {cc: v for (row, cc), v in diff[i].items() if row == a and cc != b}
-        new_d = {(r, cc): v for (r, cc), v in diff[i].items() if r != a and cc != b}
-        for r_, vb in col_b.items():
-            for c_, va in row_a.items():
-                nc = (new_d.get((r_, c_), 0) - vb * inv * va) % p
-                if nc:
-                    new_d[(r_, c_)] = nc
-                else:
-                    new_d.pop((r_, c_), None)
-        diff[i] = new_d
-        if i + 1 <= T.r:
-            diff[i + 1] = {(r_, c_): v for (r_, c_), v in diff[i + 1].items() if r_ != b}
-        if i - 1 >= 1:
-            diff[i - 1] = {(r_, c_): v for (r_, c_), v in diff[i - 1].items() if c_ != a}
-        basis[i].remove(b)
-        basis[i - 1].remove(a)
-
-    entries: dict[tuple[int, int], int] = {}
-    for i, level in enumerate(basis):
-        for mask in level:
-            j = exp_deg(mdeg[mask])
-            entries[(i, j)] = entries.get((i, j), 0) + 1
-    return BettiTable(entries, T.nvars)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ from itertools import combinations
 import pytest
 
 from bettibounds.groebner import Ideal, hilbert_numerator_of, quotient_dimension
-from bettibounds.invariants import socle_degrees
+from bettibounds.invariants import socle_of
 from bettibounds.polyring import PolyRing
-from bettibounds.resolution import koszul_betti, minimize_taylor, monomial_betti, taylor_complex
+from bettibounds.resolution import BettiTable, koszul_betti, monomial_betti
 from bettibounds.verifier import (
     InstanceSpec,
     corpus_specs,
@@ -24,6 +24,7 @@ from bettibounds.verifier import (
     run_corpus,
 )
 from bettibounds.verifier import _dense_form  # seeded dense forms for the CI criterion
+from oracle import minimize_taylor, socle_degrees, taylor_complex
 
 CORPUS_SIZE = 500
 CORPUS_SEED = 2024
@@ -151,11 +152,15 @@ def test_criterion_4_socle_alpha_consistency(corpus, instances):
         if depth != 0:
             continue
         degs = socle_degrees(I)
-        alpha = lc[label][0]["params"]["alpha"]
+        report = lc[label][0]
+        alpha = report["params"]["alpha"]
+        table = BettiTable({(i, j): v for i, j, v in report["witness"]["betti"]}, report["params"]["N"])
         assert degs, f"{label}: depth 0 but empty socle"
+        assert degs == list(socle_of(table)), (label, degs, table)
         assert min(degs) == alpha, (label, degs, alpha)
         checked += 1
-    _announce(4, checked > 50, f"min socle degree equals alpha on {checked} depth-0 instances")
+    _announce(4, checked > 50, f"the socle read off the Betti table equals the oracle socle, "
+              f"and its minimum equals alpha, on {checked} depth-0 instances")
 
 
 def test_criterion_5_alpha_section_invariance(corpus):

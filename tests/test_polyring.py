@@ -9,15 +9,11 @@ from bettibounds.polyring import (
     Packing,
     Poly,
     PolyRing,
-    apply_linear_change,
-    exp_deg,
     exp_divides,
-    exp_lcm,
-    exp_mul,
     format_poly,
-    mat_inv_mod,
     order_by_name,
 )
+from oracle import _elim_order, apply_linear_change, exp_deg, exp_lcm, exp_mul, mat_inv_mod
 
 R2 = PolyRing(2, 32003, ("x", "y"))
 R3 = PolyRing(3, 32003, ("x", "y", "z"))
@@ -49,8 +45,6 @@ def test_characteristic_of_2_31_or_more_is_refused():
 
 
 def test_leading_monomial_cache_follows_the_order_object():
-    from bettibounds.groebner import _elim_order
-
     # the custom order shares grevlex's name but not its key
     orders = [GREVLEX, LEX, _elim_order(GREVLEX), MonomialOrder("grevlex", lambda e: e)]
     f = R3.from_terms({(2, 0, 2): 1, (2, 1, 0): 2, (0, 1, 2): 3, (1, 1, 1): 4})

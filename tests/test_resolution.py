@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bettibounds import linalg, monomials
 from bettibounds import resolution
 from bettibounds.groebner import Ideal, hilbert_numerator_of, reduced_gb, substitute_linear_form
-from bettibounds.polyring import GREVLEX, Packing, Poly, PolyRing, apply_linear_change, exp_lcm, mat_inv_mod
+from bettibounds.polyring import GREVLEX, Packing, Poly, PolyRing
 from bettibounds.resolution import (
     BettiTable,
     IncompleteTableError,
@@ -18,11 +18,10 @@ from bettibounds.resolution import (
     lift_section_table,
     _last_variable_cut,
     _regular_reduce,
-    minimize_taylor,
     monomial_betti,
-    taylor_complex,
 )
 from bettibounds.verifier import InstanceSpec, corpus_specs, generate_instance
+from oracle import apply_linear_change, exp_lcm, mat_inv_mod, minimize_taylor, taylor_complex
 
 R2 = PolyRing(2, 32003, ("x", "y"))
 R3 = PolyRing(3, 32003, ("x", "y", "z"))
