@@ -15,10 +15,8 @@ from .groebner import (
     Ideal,
     QuotientBasis,
     buchberger_iteration,
-    divide,
     groebner_basis,
     initial_exponents,
-    normal_form,
     reduced_gb,
     s_polynomial,
     truncated_initial_generators,

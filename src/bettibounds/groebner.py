@@ -1,8 +1,9 @@
 """Buchberger machinery: S-polynomials, division, iterations, Groebner bases,
 initial ideals and their Hilbert data, linear sections certified through
-Hilbert series, and normal-form bases of S/I.  Colon ideals, saturation
-and ideal membership are no part of it: the verifier needs none of them,
-and the tests keep them as oracle code (``tests/oracle.py``).
+Hilbert series, and normal-form bases of S/I.  Colon ideals, saturation,
+ideal membership and division of arbitrary polynomials are no part of it:
+the verifier needs none of them, and the tests keep them as oracle code
+(``tests/oracle.py``), with a term-by-term division to check this engine.
 
 Two entry points coexist on purpose.  ``buchberger_iteration`` is the literal
 one-round procedure (all S-pairs of the current list, divide, keep nonzero
@@ -11,7 +12,33 @@ degree cap so that a truncated initial ideal can be produced by finitely many
 rounds.  ``groebner_basis`` is the workhorse: a pair-queue Buchberger whose
 pairs pass the Gebauer-Moeller update (switchable off, so that every S-pair
 is reduced, for faithful benchmarking) followed by interreduction to the
-unique reduced basis, all on packed monomials (``polyring.Packing``).
+unique reduced basis.  Both take homogeneous input only, and both divide
+with one engine, ``_Reducer``, on packed degree rows:
+
+* Columns.  An S-polynomial of homogeneous divisors is homogeneous of the
+  degree d of its lcm, and so is every step of its division.  The columns
+  of degree d are its monomials, packed (``polyring.Packing``) and sorted by
+  the order's packed key, smallest first.
+* Rows.  A polynomial of degree d is one int with one field per column, so
+  its leading term is its top field, found by ``bit_length``.  A division
+  step adds (p - c) times a divisor row and drops the top field: fields
+  only grow, no field borrows from its neighbour, and a field that is
+  0 mod p is dropped as it comes up.  A field starts below p + (p-1)^2 and
+  gains at most (p-1)^2 from each column above it, so the field width is
+  the bit length of p + (ncols + 1) * (p-1)^2, plus one.
+* Divisors.  The row of a reducible monomial is x^q * tail_t for the
+  lowest-index divisor t whose leading monomial divides it, as in textbook
+  division; it is computed once and kept.  So each remainder is the one of
+  term-by-term division, and ``buchberger_iteration`` stays literal.
+  Interreduction needs no such rule: a normal form modulo a Groebner basis
+  does not depend on the divisors chosen.
+* Traffic.  The engine is built for the verifier's many small dense
+  degree spaces: the largest has 6,188 columns (6 variables, degree 12)
+  over the 500 instances of ``corpus --size 500 --seed 2024``, and 715
+  (5 variables, degree 9) on the benchmark's ``dense`` ideals.  A row costs
+  in proportion to its degree space, so a sparse ideal of high degree
+  pays for all of it; a degree of 2^15 or more, or of more than 2^17
+  monomials, is refused.
 """
 
 from __future__ import annotations
@@ -19,7 +46,8 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from math import comb
+from typing import Iterable, Sequence
 
 from . import monomials
 from .polyring import (
@@ -115,30 +143,42 @@ class GBasis:
 
 
 # ---------------------------------------------------------------------------
-# division with remainder, on packed monomials
+# division on packed degree rows
 # ---------------------------------------------------------------------------
 
-# Groebner input takes exponents below 2^13; products may grow to 2^15
-# before the reducer refuses them (Packing's growth bound)
+# Groebner input takes exponents below 2^13; the reducer works in degrees
+# below 2^15, where every exponent fits a field (Packing's growth bound),
+# and in degree spaces of at most 2^17 monomials: such a space takes about
+# 30 MB and 0.15 s to list, and one row up to 0.8 MB
 _PACK_BITS = 13
+_MAX_COLUMNS = 1 << 17
 
 
 class _Reducer:
-    """Division engine for a growing divisor list, on packed monomials.
+    """Division engine for a growing divisor list, on packed degree rows
+    (the module docstring gives the design).
 
-    Monomials use the engine's ``Packing`` (exponents below 2^13 on input),
-    so a monomial product is one addition and a divisibility test is one
-    guarded subtraction.  Each divisor is kept monic, as its packed leading
-    monomial in ``lms`` and its tail, a list of (packed monomial, coefficient)
-    pairs, in ``tails``; ``_buchberger`` keeps its whole basis here, and only
-    ``pack_terms`` and ``to_poly`` convert to and from ``Poly`` terms.  The
-    order object, not its name, brings the packed key.  An input exponent of
-    2^13 or more, a product exponent of 2^15 or more, or an order without a
-    packed key raises ValueError.
+    Each divisor is kept monic, as its packed leading monomial in ``lms``
+    and its tail, a list of (packed monomial, coefficient) pairs, in
+    ``tails``.  Inputs take exponents below 2^13 (``Packing``); the order
+    object, not its name, brings the packed key, and an order without one
+    raises ValueError.
 
-    Standard expression contract: every quotient term q satisfies
-    in(q * g_t) <= in(f), and no monomial of the remainder is divisible by
-    any in(g_t).  Ties between applicable divisors go to the lowest index.
+    ``space(d)`` gives the columns of degree d, smallest monomial first,
+    their index and the field width.  The columns come through
+    ``monomials.memoized``, so an ``instance_scope`` lists them once per
+    instance, and ``spaces`` keeps them for the reducer's run.  A degree of
+    2^15 or more, where an exponent could outgrow its field, or of more
+    than 2^17 monomials raises ValueError before any column is listed.
+
+    ``reduce`` divides a row: it reads the top field, drops it, and adds
+    (p - c) times the row kept in ``rows`` for its monomial, c being the
+    top field mod p.  A divisor row (``row``) has fields below p and an
+    S-pair row fields below p + (p-1)^2; ``space`` sizes the fields for the
+    bound p + (ncols + 1) * (p-1)^2 of the module docstring, so no field
+    borrows.  The kept row of x^m is x^q * tail_t for the lowest-index t
+    with in(g_t) | x^m; a miss keeps in ``misses`` how many divisors were
+    tested, so that only divisors appended later are tested again.
     """
 
     def __init__(self, ring: PolyRing, order: MonomialOrder):
@@ -152,129 +192,119 @@ class _Reducer:
         self.keyfn = order.packed_key(self.pk)
         self.lms: list[int] = []
         self.tails: list[list[tuple[int, int]]] = []
+        self.rows: dict[int, int] = {}
+        self.misses: dict[int, int] = {}
+        self.spaces: dict[int, tuple[list[int], dict[int, int], int]] = {}
 
     # -- conversion --------------------------------------------------------------
 
-    def pack_terms(self, terms: Mapping[Exponents, int]) -> dict[int, int]:
-        pack = self.pk.pack
-        return {pack(e): c for e, c in terms.items()}
-
-    def to_poly(self, terms: dict[int, int]) -> Poly:
+    def to_poly(self, terms: Iterable[tuple[int, int]]) -> Poly:
         unpack = self.pk.unpack
-        return Poly(self.ring, {unpack(m): c for m, c in terms.items()}, _normalized=True)
+        return Poly(self.ring, {unpack(m): c for m, c in terms}, _normalized=True)
 
     # -- divisors ----------------------------------------------------------------
 
-    def add_monic(self, terms: dict[int, int]) -> None:
-        """Append the nonzero polynomial ``terms`` (consumed), made monic."""
-        p = self.p
-        lm = max(terms, key=self.keyfn)
-        c = terms.pop(lm)
+    def add_monic(self, lm: int, c: int, tail: list[tuple[int, int]]) -> None:
+        """Append the divisor c * x^lm + tail, made monic."""
         if c != 1:
+            p = self.p
             inv = pow(c, p - 2, p)
-            terms = {m: v * inv % p for m, v in terms.items()}
+            tail = [(m, v * inv % p) for m, v in tail]
         self.lms.append(lm)
-        self.tails.append(list(terms.items()))
+        self.tails.append(tail)
 
     def add_divisor(self, g: Poly) -> None:
-        """Append a monic polynomial."""
-        self.add_monic(self.pack_terms(g.terms))
+        """Append the nonzero polynomial g, made monic."""
+        pack = self.pk.pack
+        terms = {pack(e): c for e, c in g.terms.items()}
+        lm = max(terms, key=self.keyfn)
+        c = terms.pop(lm)
+        self.add_monic(lm, c, list(terms.items()))
 
-    # -- reduction -----------------------------------------------------------------
+    # -- degree rows ---------------------------------------------------------------
 
-    def reduce(self, work: dict[int, int], want_quotients: bool = False, skip: int | None = None):
-        """(quotient dicts or None, remainder dict) of the packed polynomial
-        ``work``, which is consumed; all keys are packed monomials."""
-        p = self.p
-        keyfn = self.keyfn
-        guards = self.pk.guards
-        overflow = self.pk.overflow
-        lms = self.lms
-        tails = self.tails
-        nq = len(lms)
-        heap = []
-        for m in work:
-            if m & overflow:
-                raise ValueError("exponent growth reached 2^15 inside the packed reducer")
-            heap.append((-keyfn(m), m))
-        heapq.heapify(heap)
-        push = heapq.heappush
-        pop = heapq.heappop
-        rem: dict[int, int] = {}
-        quots: list[dict[int, int]] | None = [dict() for _ in range(nq)] if want_quotients else None
+    def space(self, d: int) -> tuple[list[int], dict[int, int], int]:
+        """(columns, column of each monomial, field width) of degree d."""
+        sp = self.spaces.get(d)
+        if sp is None:
+            n = self.pk.nvars
+            size = comb(d + n - 1, n - 1)
+            if d >= self.pk.growth or size > _MAX_COLUMNS:
+                raise ValueError(f"degree {d} is out of range: the packed reducer works in degrees below 2^15 "
+                                 f"that have at most 2^17 monomials, and it has {size:,} in {n} variables")
+            cols, index = monomials.memoized(("columns", n, d, self.order), lambda: self._columns(d))
+            p = self.p
+            sp = self.spaces[d] = (cols, index, (p + (len(cols) + 1) * (p - 1) ** 2).bit_length() + 1)
+        return sp
 
-        while heap:
-            _, m = pop(heap)
-            c = work.pop(m, 0)
-            if not c:
-                continue
-            mg = m | guards
-            hit = -1
-            for t in range(nq):
-                if t != skip and (mg - lms[t]) & guards == guards:
-                    hit = t
-                    break
-            if hit < 0:
-                rem[m] = c
-                continue
-            q = m - lms[hit]
-            if quots is not None:
-                qd = quots[hit]
-                qd[q] = (qd.get(q, 0) + c) % p
-            for e, gc in tails[hit]:
-                me = q + e
-                cur = work.get(me)
-                if cur is None:
-                    if me & overflow:
-                        raise ValueError("exponent growth reached 2^15 inside the packed reducer")
-                    nc = (-c * gc) % p
-                    if nc:
-                        work[me] = nc
-                        push(heap, (-keyfn(me), me))
+    def _columns(self, d: int) -> tuple[list[int], dict[int, int]]:
+        width, n = self.pk.width, self.pk.nvars
+        level = [(0, d)]  # (packed exponents so far, degree left)
+        for i in range(n - 1):
+            level = [(v | (e << (i * width)), r - e) for v, r in level for e in range(r + 1)]
+        top, deg = (n - 1) * width, d << self.pk.shift
+        cols = sorted((v | (r << top) | deg for v, r in level), key=self.keyfn)
+        return cols, {m: i for i, m in enumerate(cols)}
+
+    def row(self, t: int, m: int) -> int:
+        """x^(m - lm_t) * tail_t as a row of the degree of m."""
+        _, index, width = self.space(self.pk.deg(m))
+        q = m - self.lms[t]
+        out = 0
+        for e, c in self.tails[t]:
+            out |= c << (index[q + e] * width)
+        return out
+
+    def _reducer_row(self, m: int) -> int | None:
+        """The row of x^m's lowest-index divisor, kept; None when none divides."""
+        guards, lms = self.pk.guards, self.lms
+        mg = m | guards
+        for t in range(self.misses.get(m, 0), len(lms)):
+            if (mg - lms[t]) & guards == guards:
+                row = self.rows[m] = self.row(t, m)
+                return row
+        self.misses[m] = len(lms)
+        return None
+
+    def reduce(self, work: int, d: int) -> list[tuple[int, int]]:
+        """The remainder of the row ``work`` of degree d, as (packed monomial,
+        coefficient) pairs in decreasing order: the leading term first."""
+        cols, _, width = self.space(d)
+        p, rows = self.p, self.rows
+        rem: list[tuple[int, int]] = []
+        while work:
+            i = (work.bit_length() - 1) // width
+            top = work >> (i * width)
+            work ^= top << (i * width)
+            c = top % p
+            if c:
+                m = cols[i]
+                r = rows.get(m)
+                if r is None:
+                    r = self._reducer_row(m)
+                if r is None:
+                    rem.append((m, c))
                 else:
-                    nc = (cur - c * gc) % p
-                    if nc:
-                        work[me] = nc
-                    else:
-                        del work[me]
-        return quots, rem
+                    work += (p - c) * r
+        return rem
 
 
 def _make_reducer(divisors: Sequence[Poly], order: MonomialOrder) -> _Reducer:
-    if not divisors:
-        raise ValueError("empty divisor list")
     red = _Reducer(divisors[0].ring, order)
     for g in divisors:
         red.add_divisor(g)
     return red
 
 
-def _reduce(f: Poly, divisors: Sequence[Poly], order: MonomialOrder, want_quotients: bool):
-    if not divisors:
-        return ([] if want_quotients else None), f
-    red = _make_reducer(divisors, order)
-    quots, rem = red.reduce(red.pack_terms(f.terms), want_quotients)
-    r = red.to_poly(rem)
-    if quots is None:
-        return None, r
-    return [red.to_poly(qd) for qd in quots], r
-
-
-def divide(f: Poly, divisors: Sequence[Poly], order: MonomialOrder = GREVLEX) -> tuple[list[Poly], Poly]:
-    """Division algorithm: f = sum q_t * g_t + r as a standard expression."""
-    for g in divisors:
-        if g.is_zero:
-            raise ValueError("zero divisor polynomial")
-        if g.leading_coeff(order) != 1:
-            raise ValueError("divisors must be monic")
-    qs, r = _reduce(f, divisors, order, want_quotients=True)
-    return qs, r
-
-
-def normal_form(f: Poly, divisors: Sequence[Poly], order: MonomialOrder = GREVLEX) -> Poly:
-    """Remainder of f on division by the (monic) divisors."""
-    _, r = _reduce(f, divisors, order, want_quotients=False)
-    return r
+def _monic_homogeneous(polys: Iterable[Poly], order: MonomialOrder) -> list[Poly]:
+    """The nonzero inputs, made monic; inhomogeneous input raises ValueError."""
+    out = []
+    for g in polys:
+        if not g.is_zero:
+            if not g.is_homogeneous():
+                raise ValueError(f"inhomogeneous input {g!r}: the reducer divides degree by degree")
+            out.append(g.monic(order))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +323,12 @@ def s_polynomial(f: Poly, g: Poly, order: MonomialOrder = GREVLEX) -> Poly:
     return f.mul_term(1, exp_sub(lg, gcd)) - g.mul_term(1, exp_sub(lf, gcd))
 
 
-def _s_pair(red: _Reducer, i: int, j: int, lcm: int) -> dict[int, int]:
+def _s_pair(red: _Reducer, i: int, j: int, lcm: int) -> int:
     """The S-polynomial of the reducer's monic divisors i and j, whose
-    leading monomials have the packed lcm ``lcm``, as packed terms: the
-    leading terms cancel, so it is (lcm - lm_i) * tail_i - (lcm - lm_j) * tail_j."""
-    p = red.p
-    a = lcm - red.lms[i]
-    b = lcm - red.lms[j]
-    s = {a + e: c for e, c in red.tails[i]}
-    for e, c in red.tails[j]:
-        m = b + e
-        nc = (s.get(m, 0) - c) % p
-        if nc:
-            s[m] = nc
-        else:
-            del s[m]
-    return s
+    leading monomials have the packed lcm ``lcm``, as a row of its degree:
+    the leading terms cancel, so it is x^(lcm - lm_i) * tail_i plus p - 1
+    times x^(lcm - lm_j) * tail_j, added field by field."""
+    return red.row(i, lcm) + (red.p - 1) * red.row(j, lcm)
 
 
 def buchberger_iteration(
@@ -326,13 +346,10 @@ def buchberger_iteration(
     stall the truncation guarantee.  With ``degree_cap`` set, inputs of
     larger degree are dropped and S-pairs whose S-polynomial degree exceeds
     the cap are skipped.  The output never exceeds n*(n+1)/2 <= n^2
-    polynomials for n inputs.
+    polynomials for n inputs.  Inhomogeneous input raises ValueError.
     """
-    polys = [g.monic(order) for g in basis if not g.is_zero]
+    polys = _monic_homogeneous(basis, order)
     if degree_cap is not None:
-        for g in polys:
-            if not g.is_homogeneous():
-                raise ValueError("degree-capped iteration needs homogeneous input")
         polys = [g for g in polys if g.degree() <= degree_cap]
 
     out = list(polys)
@@ -340,23 +357,20 @@ def buchberger_iteration(
         return out
     seen = set(out)
     # one reducer for the round, extended as ``out`` grows; its first
-    # divisors are the inputs, whose S-pairs it forms on packed terms
+    # divisors are the inputs, whose S-pairs it forms on packed rows
     red = _make_reducer(polys, order)
-    lms = red.lms
+    lms, deg = red.lms, red.pk.deg
     for i, j in combinations(range(len(polys)), 2):
         lcm = red.pk.lcm(lms[i], lms[j])
-        if degree_cap is not None and red.pk.deg(lcm) > degree_cap:
+        if degree_cap is not None and deg(lcm) > degree_cap:
             continue
-        s = _s_pair(red, i, j, lcm)
-        if not s:
-            continue
-        _, rem = red.reduce(s)
+        rem = red.reduce(_s_pair(red, i, j, lcm), deg(lcm))
         if rem:
             r = red.to_poly(rem).monic(order)
             if r not in seen:
                 seen.add(r)
                 out.append(r)
-                red.add_divisor(r)
+                red.add_monic(*rem[0], rem[1:])
     return out
 
 
@@ -394,23 +408,23 @@ def truncated_initial_generators(I: Ideal, order: MonomialOrder, delta: int) -> 
 # ---------------------------------------------------------------------------
 
 def _interreduce(red: _Reducer) -> list[Poly]:
-    """The reduced basis of the reducer's divisors: minimal leading
-    monomials, fully tail-reduced, monic, sorted by increasing leading
-    monomial.  Only the result is converted to ``Poly``."""
-    keyfn, divides = red.keyfn, red.pk.divides
-    minimal = _Reducer(red.ring, red.order)
-    for t in sorted(range(len(red.lms)), key=lambda t: keyfn(red.lms[t])):
-        lm = red.lms[t]
-        if not any(divides(h, lm) for h in minimal.lms):
-            minimal.lms.append(lm)
-            minimal.tails.append(red.tails[t])
+    """The reduced basis of the reducer's divisors, which form a Groebner
+    basis: minimal leading monomials, monic, sorted by increasing leading
+    monomial, each tail replaced by its normal form on the reducer's own
+    rows (a normal form modulo a Groebner basis does not depend on the
+    divisors chosen).  Only the result is converted to ``Poly``."""
+    keyfn, divides, lms = red.keyfn, red.pk.divides, red.lms
+    minimal: list[int] = []
+    for t in sorted(range(len(lms)), key=lambda t: keyfn(lms[t])):
+        if not any(divides(lms[h], lms[t]) for h in minimal):
+            minimal.append(t)
     out = []
-    for i, lm in enumerate(minimal.lms):
-        work = dict(minimal.tails[i])
-        if len(minimal.lms) > 1:
-            _, work = minimal.reduce(work, skip=i)
-        work[lm] = 1
-        g = minimal.to_poly(work)
+    for t in minimal:
+        lm = lms[t]
+        # a lone divisor's tail is reduced: no monomial of its degree but lm
+        # is divisible by lm
+        tail = red.reduce(red.row(t, lm), red.pk.deg(lm)) if len(lms) > 1 else red.tails[t]
+        g = red.to_poly(tail + [(lm, 1)])
         g._lead = (red.order, red.pk.unpack(lm))  # fill Poly's cache: lm is known
         out.append(g)
     return out
@@ -418,7 +432,7 @@ def _interreduce(red: _Reducer) -> list[Poly]:
 
 def _buchberger(polys: Sequence[Poly], order: MonomialOrder, use_criterion: bool) -> list[Poly]:
     """Pair-queue Buchberger with the Gebauer-Moeller update, on packed
-    monomials from the first S-pair to the interreduced basis.
+    degree rows from the first S-pair to the interreduced basis.
 
     Normal selection: the pending pair (i, j) with the smallest lcm by
     ``order.key`` goes first, ties broken by (i, j).  Each new element h,
@@ -440,14 +454,7 @@ def _buchberger(polys: Sequence[Poly], order: MonomialOrder, use_criterion: bool
     reducer as packed (leading monomial, tail) pairs; two leading monomials
     are coprime exactly when their packed lcm is their packed product.
     """
-    G: list[Poly] = []
-    seen = set()
-    for g in polys:
-        if not g.is_zero:
-            m = g.monic(order)
-            if m not in seen:
-                seen.add(m)
-                G.append(m)
+    G = list(dict.fromkeys(_monic_homogeneous(polys, order)))
     if not G:
         return []
     red = _make_reducer(G, order)
@@ -482,14 +489,10 @@ def _buchberger(polys: Sequence[Poly], order: MonomialOrder, use_criterion: bool
         lcm = live.pop((i, j), None)
         if lcm is None:
             continue
-        s = _s_pair(red, i, j, lcm)
-        if not s:
-            continue
-        _, rem = red.reduce(s)
-        if not rem:
-            continue
-        red.add_monic(rem)
-        update(len(lms) - 1)
+        rem = red.reduce(_s_pair(red, i, j, lcm), red.pk.deg(lcm))
+        if rem:
+            red.add_monic(*rem[0], rem[1:])
+            update(len(lms) - 1)
     return _interreduce(red)
 
 

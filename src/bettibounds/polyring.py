@@ -62,8 +62,8 @@ class Packing:
     P(a) - P(b) when x^b divides x^a.
 
     ``pack`` accepts exponents below 2^bits.  Each field has room for values
-    below ``growth`` = 2^(bits + 2), which callers that multiply monomials
-    check with ``overflow``; the top bit of a field is a guard bit that no
+    below ``growth`` = 2^(bits + 2), so callers that multiply monomials keep
+    their degrees below it; the top bit of a field is a guard bit that no
     packed monomial sets, and a field is wide enough to hold the sum of two
     values below ``growth`` and the degree of a monomial whose fields are
     all below ``growth``.  Divisibility,
@@ -79,21 +79,20 @@ class Packing:
       2 * (degree << shift) - P (``GREVLEX.packed_key``).
     """
 
-    __slots__ = ("nvars", "bits", "width", "shift", "fmask", "emask", "guards", "ones", "overflow")
+    __slots__ = ("nvars", "bits", "growth", "width", "shift", "fmask", "emask", "guards", "ones")
 
     def __init__(self, nvars: int, bits: int):
         growth = 1 << (bits + 2)
         width = max(bits + 3, (nvars * (growth - 1)).bit_length())
         self.nvars = nvars
         self.bits = bits
+        self.growth = growth
         self.width = width
         self.shift = nvars * width
         self.fmask = (1 << width) - 1
         self.emask = (1 << self.shift) - 1
         self.ones = sum(1 << (width * i) for i in range(nvars))
         self.guards = self.ones << (width - 1)
-        # the bits of each field from ``growth`` up, guard bit included
-        self.overflow = self.ones * (((1 << width) - 1) ^ (growth - 1))
 
     @classmethod
     def for_exponents(cls, nvars: int, exps: Iterable[Exponents]) -> "Packing":
@@ -249,9 +248,6 @@ class PolyRing:
     def monomial(self, exps: Sequence[int], coeff: int = 1) -> "Poly":
         return Poly(self, {tuple(exps): coeff})
 
-    def from_terms(self, terms: Mapping[Exponents, int]) -> "Poly":
-        return Poly(self, terms)
-
     def linear_form(self, coeffs: Sequence[int]) -> "Poly":
         if len(coeffs) != self.nvars:
             raise ValueError("one coefficient per variable required")
@@ -333,11 +329,6 @@ class Poly:
 
     def leading_coeff(self, order: MonomialOrder) -> int:
         return self.terms[self.leading_monomial(order)]
-
-    def leading_term(self, order: MonomialOrder) -> tuple[int, Exponents]:
-        """(coefficient, exponents) of the order-largest term."""
-        m = self.leading_monomial(order)
-        return self.terms[m], m
 
     def monic(self, order: MonomialOrder) -> "Poly":
         if not self.terms:

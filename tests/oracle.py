@@ -10,26 +10,33 @@ against the colon of the initial ideal in generic coordinates; and
 ``homogeneous_component_dim`` (row reduction, no Groebner basis) against
 the Hilbert function of ``groebner.hilbert_numerator_of``.
 ``apply_linear_change`` moves ideals to random coordinates, where Betti
-tables must not change.  ``_ELIM_GREVLEX`` runs in the engine's packed
-reducer through the packed key it carries.
+tables must not change.  ``DictReducer`` divides term by term, with a heap
+of monomials and a dict of coefficients; ``divide``, ``normal_form``,
+``reference_iteration`` and ``reference_buchberger`` run on it, take
+inhomogeneous input too, and are compared with ``buchberger_iteration``
+and ``groebner._buchberger``, which divide on packed degree rows.  The elimination order of
+``ideal_intersection`` gives inhomogeneous input, so it runs there,
+through the packed key that ``_ELIM_GREVLEX`` carries.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
+from itertools import combinations
 from math import comb
 from operator import add
 from typing import Sequence
 
 from bettibounds import monomials
 from bettibounds.groebner import (
+    _PACK_BITS,
     Ideal,
     QuotientBasis,
-    _buchberger,
-    divide,
     hilbert_numerator_of,
-    normal_form,
     quotient_dimension,
     reduced_gb,
+    s_polynomial,
 )
 from bettibounds.linalg import rank_mod_p
 from bettibounds.monomials import minimalize
@@ -144,6 +151,169 @@ def saturate_irrelevant(gens: Sequence[Exponents], nvars: int) -> tuple[Exponent
 
 
 # ---------------------------------------------------------------------------
+# reference division and Buchberger: dict and heap, any input
+# ---------------------------------------------------------------------------
+
+class DictReducer:
+    """Division by a growing divisor list, one term at a time: a heap of
+    packed monomials in decreasing order and a dict of coefficients; each
+    step subtracts a whole divisor tail.  It takes inhomogeneous input.
+    Standard expression contract: every quotient term q satisfies
+    in(q * g_t) <= in(f), and no monomial of the remainder is divisible by
+    any in(g_t).  Ties between applicable divisors go to the lowest index.
+    """
+
+    def __init__(self, ring: PolyRing, order: MonomialOrder):
+        self.ring = ring
+        self.order = order
+        self.p = ring.char
+        self.pk = Packing(ring.nvars, _PACK_BITS)
+        if order.packed_key is None:
+            raise ValueError(f"monomial order {order!r} has no packed key")
+        self.keyfn = order.packed_key(self.pk)
+        # the bits of each field from ``growth`` up, guard bit included
+        self.overflow = self.pk.ones * (self.pk.fmask ^ (self.pk.growth - 1))
+        self.lms: list[int] = []
+        self.tails: list[list[tuple[int, int]]] = []
+
+    def pack_terms(self, terms) -> dict[int, int]:
+        pack = self.pk.pack
+        return {pack(e): c for e, c in terms.items()}
+
+    def to_poly(self, terms: dict[int, int]) -> Poly:
+        unpack = self.pk.unpack
+        return Poly(self.ring, {unpack(m): c for m, c in terms.items()}, _normalized=True)
+
+    def add_monic(self, terms: dict[int, int]) -> None:
+        """Append the nonzero polynomial ``terms`` (consumed), made monic."""
+        p = self.p
+        lm = max(terms, key=self.keyfn)
+        c = terms.pop(lm)
+        if c != 1:
+            inv = pow(c, p - 2, p)
+            terms = {m: v * inv % p for m, v in terms.items()}
+        self.lms.append(lm)
+        self.tails.append(list(terms.items()))
+
+    def reduce(self, work: dict[int, int], want_quotients: bool = False, skip: int | None = None):
+        """(quotient dicts or None, remainder dict) of the packed polynomial
+        ``work``, which is consumed."""
+        p, keyfn, guards, overflow = self.p, self.keyfn, self.pk.guards, self.overflow
+        lms, tails = self.lms, self.tails
+        nq = len(lms)
+        heap = []
+        for m in work:
+            if m & overflow:
+                raise ValueError("exponent growth reached 2^15 inside the reference reducer")
+            heap.append((-keyfn(m), m))
+        heapq.heapify(heap)
+        rem: dict[int, int] = {}
+        quots: list[dict[int, int]] | None = [dict() for _ in range(nq)] if want_quotients else None
+        while heap:
+            _, m = heapq.heappop(heap)
+            c = work.pop(m, 0)
+            if not c:
+                continue
+            mg = m | guards
+            hit = next((t for t in range(nq) if t != skip and (mg - lms[t]) & guards == guards), -1)
+            if hit < 0:
+                rem[m] = c
+                continue
+            q = m - lms[hit]
+            if quots is not None:
+                quots[hit][q] = (quots[hit].get(q, 0) + c) % p
+            for e, gc in tails[hit]:
+                me = q + e
+                cur = work.get(me)
+                if cur is None:
+                    if me & overflow:
+                        raise ValueError("exponent growth reached 2^15 inside the reference reducer")
+                    work[me] = (-c * gc) % p
+                    heapq.heappush(heap, (-keyfn(me), me))
+                else:
+                    nc = (cur - c * gc) % p
+                    if nc:
+                        work[me] = nc
+                    else:
+                        del work[me]
+        return quots, rem
+
+
+def _dict_reducer(divisors: Sequence[Poly], order: MonomialOrder) -> DictReducer:
+    red = DictReducer(divisors[0].ring, order)
+    for g in divisors:
+        red.add_monic(red.pack_terms(g.terms))
+    return red
+
+
+def divide(f: Poly, divisors: Sequence[Poly], order: MonomialOrder = GREVLEX) -> tuple[list[Poly], Poly]:
+    """Division algorithm: f = sum q_t * g_t + r as a standard expression."""
+    for g in divisors:
+        if g.is_zero:
+            raise ValueError("zero divisor polynomial")
+        if g.leading_coeff(order) != 1:
+            raise ValueError("divisors must be monic")
+    if not divisors:
+        return [], f
+    red = _dict_reducer(divisors, order)
+    quots, rem = red.reduce(red.pack_terms(f.terms), want_quotients=True)
+    return [red.to_poly(qd) for qd in quots], red.to_poly(rem)
+
+
+def normal_form(f: Poly, divisors: Sequence[Poly], order: MonomialOrder = GREVLEX) -> Poly:
+    """Remainder of f on division by the (monic) divisors."""
+    return divide(f, divisors, order)[1]
+
+
+def reference_iteration(basis: Sequence[Poly], order: MonomialOrder = GREVLEX,
+                        degree_cap: int | None = None) -> list[Poly]:
+    """``groebner.buchberger_iteration`` with S-polynomials of ``Poly``s and
+    dict-and-heap division by the list built so far."""
+    polys = [g.monic(order) for g in basis if not g.is_zero]
+    if degree_cap is not None:
+        polys = [g for g in polys if g.degree() <= degree_cap]
+    out = list(polys)
+    for f, g in combinations(polys, 2):
+        lcm = exp_lcm(f.leading_monomial(order), g.leading_monomial(order))
+        if degree_cap is not None and exp_deg(lcm) > degree_cap:
+            continue
+        r = normal_form(s_polynomial(f, g, order), out, order)
+        if r and r.monic(order) not in out:
+            out.append(r.monic(order))
+    return out
+
+
+def reference_buchberger(polys: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Poly]:
+    """The reduced Groebner basis by plain Buchberger: every S-pair, first
+    formed first, on one ``DictReducer``; then minimal leading monomials,
+    each tail reduced by the other minimal elements, sorted by increasing
+    leading monomial.  Any input, homogeneous or not."""
+    G = list(dict.fromkeys(g.monic(order) for g in polys if not g.is_zero))
+    if not G:
+        return []
+    red = _dict_reducer(G, order)
+    pairs = deque(combinations(range(len(G)), 2))
+    while pairs:
+        i, j = pairs.popleft()
+        _, rem = red.reduce(red.pack_terms(s_polynomial(G[i], G[j], order).terms))
+        if rem:
+            G.append(red.to_poly(rem).monic(order))
+            red.add_monic(rem)
+            pairs.extend((t, len(G) - 1) for t in range(len(G) - 1))
+    minimal = DictReducer(red.ring, order)
+    for t in sorted(range(len(G)), key=lambda t: red.keyfn(red.lms[t])):
+        if not any(red.pk.divides(h, red.lms[t]) for h in minimal.lms):
+            minimal.lms.append(red.lms[t])
+            minimal.tails.append(red.tails[t])
+    out = []
+    for i, lm in enumerate(minimal.lms):
+        _, work = minimal.reduce(dict(minimal.tails[i]), skip=i)
+        work[lm] = 1
+        out.append(minimal.to_poly(work))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # membership and dimensions
 # ---------------------------------------------------------------------------
 
@@ -236,7 +406,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     polys = [_lift(f, big, 1) for f in I.gens]
     one_minus_t = Poly(big, {(0,) * big.nvars: 1, (1,) + (0,) * ring.nvars: -1})
     polys += [one_minus_t * _lift(g, big, 0) for g in J.gens]
-    gb = _buchberger(polys, _elim_order(GREVLEX), use_criterion=True)
+    gb = reference_buchberger(polys, _elim_order(GREVLEX))
     kept = []
     for g in gb:
         if all(e[0] == 0 for e in g.terms):

@@ -11,11 +11,9 @@ from bettibounds.groebner import (
     Ideal,
     _buchberger,
     buchberger_iteration,
-    divide,
     form_regularity_with_image,
     groebner_basis,
     initial_exponents,
-    normal_form,
     reduced_gb,
     s_polynomial,
     substitute_linear_form,
@@ -24,9 +22,10 @@ from bettibounds.groebner import (
 from bettibounds.polyring import GREVLEX, LEX, Packing, Poly, PolyRing, format_poly
 from bettibounds.verifier import InstanceSpec, generate_instance
 from oracle import (
-    _ELIM_GREVLEX, _elim_order, _lift, apply_linear_change, colon_by_monomial, contains_poly,
+    _ELIM_GREVLEX, _elim_order, _lift, apply_linear_change, colon_by_monomial, contains_poly, divide,
     exp_mul, homogeneous_component_dim, ideal_intersection, ideal_quotient, ideal_quotient_ideal,
-    ideals_equal, irrelevant_ideal, mat_inv_mod, quotient_hilbert_function, saturation,
+    ideals_equal, irrelevant_ideal, mat_inv_mod, normal_form, quotient_hilbert_function,
+    reference_buchberger, reference_iteration, saturation,
 )
 
 R2 = PolyRing(2, 32003, ("x", "y"))
@@ -180,10 +179,10 @@ def test_groebner_basis_examples():
 
 
 @st.composite
-def _homogeneous_polys(draw, ring):
+def _homogeneous_polys(draw, ring, most=4, top=3):
     polys = []
-    for _ in range(draw(st.integers(1, 4))):
-        d = draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(1, most))):
+        d = draw(st.integers(1, top))
         monos = list(_monos(ring.nvars, d))
         support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
         coeffs = draw(st.lists(st.integers(1, ring.char - 1), min_size=len(support), max_size=len(support)))
@@ -202,13 +201,43 @@ def test_gebauer_moeller_update_keeps_reduced_basis(data):
     polys = data.draw(_homogeneous_polys(R3_SMALL))
     for order in (GREVLEX, LEX):
         assert _buchberger(polys, order, True) == _buchberger(polys, order, False)
-    # ideal_intersection's input and order: t*I + (1 - t)*J in elim+grevlex
+    # ideal_intersection's input and order: t*I + (1 - t)*J in elim+grevlex.
+    # It is inhomogeneous, so the oracle's reference engine computes it; its
+    # t-free elements lie in I and in J
     split = data.draw(st.integers(0, len(polys)))
     one_minus_t = Poly(R4_SMALL, {(0, 0, 0, 0): 1, (1, 0, 0, 0): -1})
     lifted = [_lift(f, R4_SMALL, 1) for f in polys[:split]]
     lifted += [one_minus_t * _lift(g, R4_SMALL, 0) for g in polys[split:]]
     elim = _elim_order(GREVLEX)
-    assert _buchberger(lifted, elim, True) == _buchberger(lifted, elim, False)
+    I, J = Ideal(R3_SMALL, polys[:split]), Ideal(R3_SMALL, polys[split:])
+    for g in reference_buchberger(lifted, elim):
+        if all(e[0] == 0 for e in g.terms):
+            h = Poly(R3_SMALL, {e[1:]: c for e, c in g.terms.items()})
+            assert contains_poly(I, h) and contains_poly(J, h)
+
+
+# the widest characteristic below polyring.MAX_CHAR, and two narrow ones
+_ENGINE_RINGS = [PolyRing(3, p, ("x", "y", "z")) for p in (3, 32003, 2147483647)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_rows_agree_with_the_dict_and_heap_reference(data):
+    ring = data.draw(st.sampled_from(_ENGINE_RINGS))
+    polys = data.draw(_homogeneous_polys(ring, most=5, top=4))
+    for order in (GREVLEX, LEX):
+        ref = reference_buchberger(polys, order)
+        assert _buchberger(polys, order, True) == ref
+        assert _buchberger(polys, order, False) == ref
+        for cap in (None, 2, 4):
+            assert buchberger_iteration(polys, order, cap) == reference_iteration(polys, order, cap)
+
+
+def test_inhomogeneous_input_is_refused():
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        _buchberger([X * X + Y, X * Y], GREVLEX, True)
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        buchberger_iteration([X * X + Y, X * Y], GREVLEX)
 
 
 # sha256 of each reduced basis printed one element a line, taken before the

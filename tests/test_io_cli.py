@@ -233,6 +233,30 @@ def test_cli_gb_exponent_out_of_range_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "2^13" in err
 
 
+def test_cli_gb_degree_out_of_range_exits_2(tmp_path, capsys, monkeypatch):
+    # exponents below 2^13, but the one S-pair has degree 40954 >= 2^15
+    # (lcm x1^8191 x2^8191 x3^8191 x4^8191 x5^8190); its columns could not
+    # even be listed, so the degree must be refused before they are
+    text = ("ring 5 32003\n"
+            "x1^8191*x2^8191*x3^8191 - x3^8191*x4^8191*x5^8191\n"
+            "x2*x3^8191*x4^8191*x5^8190 - x1^8191*x2^8191*x5^8191\n")
+    real = monomials.memoized
+
+    def guarded(key, compute):
+        assert not (key[0] == "columns" and key[2] >= 25), key
+        return real(key, compute)
+
+    monkeypatch.setattr(monomials, "memoized", guarded)
+    assert main(["gb", _write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree 40954 ") and "2^15" in err
+    # degree 25 in 6 variables has C(30, 5) = 142,506 > 2^17 monomials
+    text = "ring 6 32003\nx1^13 - x2^13\nx1*x3^12 - x4^13\n"
+    assert main(["gb", _write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree 25 ") and "2^17" in err
+
+
 def test_cli_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")

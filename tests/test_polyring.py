@@ -47,7 +47,7 @@ def test_characteristic_of_2_31_or_more_is_refused():
 def test_leading_monomial_cache_follows_the_order_object():
     # the custom order shares grevlex's name but not its key
     orders = [GREVLEX, LEX, _elim_order(GREVLEX), MonomialOrder("grevlex", lambda e: e)]
-    f = R3.from_terms({(2, 0, 2): 1, (2, 1, 0): 2, (0, 1, 2): 3, (1, 1, 1): 4})
+    f = Poly(R3, {(2, 0, 2): 1, (2, 1, 0): 2, (0, 1, 2): 3, (1, 1, 1): 4})
     leads = []
     for order in orders * 3:
         lm = f.leading_monomial(order)
@@ -84,7 +84,7 @@ def test_leading_term_examples():
     f = X * X + X * Y
     assert f.leading_monomial(GREVLEX) == (2, 0)
     g = Y.scale(3)
-    assert g.leading_term(GREVLEX) == (3, (0, 1))
+    assert (g.leading_coeff(GREVLEX), g.leading_monomial(GREVLEX)) == (3, (0, 1))
     h = X * Y + Y * Y + X * X
     assert h.leading_monomial(LEX) == (2, 0)
 
@@ -200,9 +200,9 @@ def test_leading_term_multiplicative(seed):
     if f.is_zero or g.is_zero:
         return
     for order in (GREVLEX, LEX):
-        cf, mf = f.leading_term(order)
-        cg, mg = g.leading_term(order)
-        cp, mp = (f * g).leading_term(order)
+        cf, mf = f.leading_coeff(order), f.leading_monomial(order)
+        cg, mg = g.leading_coeff(order), g.leading_monomial(order)
+        cp, mp = (f * g).leading_coeff(order), (f * g).leading_monomial(order)
         assert mp == tuple(a + b for a, b in zip(mf, mg))
         assert cp == (cf * cg) % 32003
 
@@ -234,7 +234,7 @@ def _check_packed_helpers(pk: Packing, a, b) -> None:
     assert pk.divides(pb, pa) == exp_divides(b, a)
     assert pk.lcm(pa, pb) == pk.pack(exp_lcm(a, b))
     # additive: the product packs to the sum, within the growth bound
-    assert not (pa + pb) & pk.overflow
+    assert max(pk.unpack(pa + pb)) < pk.growth
     assert pk.unpack(pa + pb) == exp_mul(a, b) and pk.deg(pa + pb) == exp_deg(a) + exp_deg(b)
 
 
