@@ -13,7 +13,7 @@ rounds.  ``groebner_basis`` is the workhorse: a pair-queue Buchberger whose
 pairs pass the Gebauer-Moeller update (switchable off, so that every S-pair
 is reduced, for faithful benchmarking) followed by interreduction to the
 unique reduced basis.  Both take homogeneous input only, and both divide
-with one engine, ``_Reducer``, on packed degree rows:
+with one engine, ``_Reducer``, degree by degree:
 
 * Columns.  An S-polynomial of homogeneous divisors is homogeneous of the
   degree d of its lcm, and so is every step of its division.  The columns
@@ -32,13 +32,13 @@ with one engine, ``_Reducer``, on packed degree rows:
   term-by-term division, and ``buchberger_iteration`` stays literal.
   Interreduction needs no such rule: a normal form modulo a Groebner basis
   does not depend on the divisors chosen.
-* Traffic.  The engine is built for the verifier's many small dense
-  degree spaces: the largest has 6,188 columns (6 variables, degree 12)
-  over the 500 instances of ``corpus --size 500 --seed 2024``, and 715
-  (5 variables, degree 9) on the benchmark's ``dense`` ideals.  A row costs
-  in proportion to its degree space, so a sparse ideal of high degree
-  pays for all of it; a degree of 2^15 or more, or of more than 2^17
-  monomials, is refused.
+* Traffic.  A row pays for its whole degree space, which suits the
+  verifier's dense ideals: the largest space is 6,188 columns (6 variables,
+  degree 12) over ``corpus --size 500 --seed 2024``, and 715 (5 variables,
+  degree 9) on the benchmark's ``dense`` ideals.  A degree whose space is
+  large against the divisors' tails (sparse ideals of high degree or in
+  many variables) is divided term by term instead, on a heap, with the
+  same kept divisors.  A degree of 2^15 or more is refused.
 """
 
 from __future__ import annotations
@@ -146,39 +146,34 @@ class GBasis:
 # division on packed degree rows
 # ---------------------------------------------------------------------------
 
-# Groebner input takes exponents below 2^13; the reducer works in degrees
-# below 2^15, where every exponent fits a field (Packing's growth bound),
-# and in degree spaces of at most 2^17 monomials: such a space takes about
-# 30 MB and 0.15 s to list, and one row up to 0.8 MB
+# Groebner input takes exponents below 2^13, and the reducer works in degrees
+# below 2^15, where every exponent fits a field (Packing's growth bound).  A
+# degree gets rows when it has at most 2^17 monomials (30 MB and 0.15 s to
+# list) and at most 64 per term of the widest divisor tail plus one
 _PACK_BITS = 13
 _MAX_COLUMNS = 1 << 17
+_COLUMNS_PER_TERM = 64
 
 
 class _Reducer:
-    """Division engine for a growing divisor list, on packed degree rows
-    (the module docstring gives the design).
+    """Division engine for a growing divisor list (the module docstring
+    gives the design).
 
     Each divisor is kept monic, as its packed leading monomial in ``lms``
     and its tail, a list of (packed monomial, coefficient) pairs, in
-    ``tails``.  Inputs take exponents below 2^13 (``Packing``); the order
-    object, not its name, brings the packed key, and an order without one
-    raises ValueError.
+    ``tails``; ``widest`` is the longest tail.  Inputs take exponents below
+    2^13 (``Packing``); the order object, not its name, brings the packed
+    key, and an order without one raises ValueError.
 
-    ``space(d)`` gives the columns of degree d, smallest monomial first,
-    their index and the field width.  The columns come through
-    ``monomials.memoized``, so an ``instance_scope`` lists them once per
-    instance, and ``spaces`` keeps them for the reducer's run.  A degree of
-    2^15 or more, where an exponent could outgrow its field, or of more
-    than 2^17 monomials raises ValueError before any column is listed.
-
-    ``reduce`` divides a row: it reads the top field, drops it, and adds
-    (p - c) times the row kept in ``rows`` for its monomial, c being the
-    top field mod p.  A divisor row (``row``) has fields below p and an
-    S-pair row fields below p + (p-1)^2; ``space`` sizes the fields for the
-    bound p + (ncols + 1) * (p-1)^2 of the module docstring, so no field
-    borrows.  The kept row of x^m is x^q * tail_t for the lowest-index t
-    with in(g_t) | x^m; a miss keeps in ``misses`` how many divisors were
-    tested, so that only divisors appended later are tested again.
+    ``space(d)`` decides once per degree: (columns, column index, field
+    width), listed through ``monomials.memoized`` (once per
+    ``instance_scope``) and kept in ``spaces``, or None for a degree divided
+    term by term, whose polynomials are dicts {packed monomial: coefficient}.
+    A degree of 2^15 or more, where an exponent could outgrow its field,
+    raises ValueError before any column is listed.  ``rows`` keeps the
+    divisor row of each reducible monomial, in its degree's form; a miss
+    keeps in ``misses`` how many divisors were tested, so that only
+    divisors appended later are tested again.
     """
 
     def __init__(self, ring: PolyRing, order: MonomialOrder):
@@ -192,9 +187,10 @@ class _Reducer:
         self.keyfn = order.packed_key(self.pk)
         self.lms: list[int] = []
         self.tails: list[list[tuple[int, int]]] = []
-        self.rows: dict[int, int] = {}
+        self.widest = 0
+        self.rows: dict[int, int | dict[int, int]] = {}
         self.misses: dict[int, int] = {}
-        self.spaces: dict[int, tuple[list[int], dict[int, int], int]] = {}
+        self.spaces: dict[int, tuple[list[int], dict[int, int], int] | None] = {}
 
     # -- conversion --------------------------------------------------------------
 
@@ -212,6 +208,7 @@ class _Reducer:
             tail = [(m, v * inv % p) for m, v in tail]
         self.lms.append(lm)
         self.tails.append(tail)
+        self.widest = max(self.widest, len(tail))
 
     def add_divisor(self, g: Poly) -> None:
         """Append the nonzero polynomial g, made monic."""
@@ -223,19 +220,21 @@ class _Reducer:
 
     # -- degree rows ---------------------------------------------------------------
 
-    def space(self, d: int) -> tuple[list[int], dict[int, int], int]:
-        """(columns, column of each monomial, field width) of degree d."""
-        sp = self.spaces.get(d)
-        if sp is None:
+    def space(self, d: int) -> tuple[list[int], dict[int, int], int] | None:
+        """(columns, column of each monomial, field width) of degree d, or
+        None when degree d is reduced term by term."""
+        if d not in self.spaces:
             n = self.pk.nvars
+            if d >= self.pk.growth:
+                raise ValueError(f"degree {d} is out of range: the packed reducer works in degrees below 2^15")
             size = comb(d + n - 1, n - 1)
-            if d >= self.pk.growth or size > _MAX_COLUMNS:
-                raise ValueError(f"degree {d} is out of range: the packed reducer works in degrees below 2^15 "
-                                 f"that have at most 2^17 monomials, and it has {size:,} in {n} variables")
-            cols, index = monomials.memoized(("columns", n, d, self.order), lambda: self._columns(d))
-            p = self.p
-            sp = self.spaces[d] = (cols, index, (p + (len(cols) + 1) * (p - 1) ** 2).bit_length() + 1)
-        return sp
+            if size > min(_MAX_COLUMNS, _COLUMNS_PER_TERM * (self.widest + 1)):
+                self.spaces[d] = None
+            else:
+                cols, index = monomials.memoized(("columns", n, d, self.order), lambda: self._columns(d))
+                p = self.p
+                self.spaces[d] = (cols, index, (p + (len(cols) + 1) * (p - 1) ** 2).bit_length() + 1)
+        return self.spaces[d]
 
     def _columns(self, d: int) -> tuple[list[int], dict[int, int]]:
         width, n = self.pk.width, self.pk.nvars
@@ -246,17 +245,23 @@ class _Reducer:
         cols = sorted((v | (r << top) | deg for v, r in level), key=self.keyfn)
         return cols, {m: i for i, m in enumerate(cols)}
 
-    def row(self, t: int, m: int) -> int:
-        """x^(m - lm_t) * tail_t as a row of the degree of m."""
-        _, index, width = self.space(self.pk.deg(m))
+    def row(self, t: int, m: int) -> int | dict[int, int]:
+        """x^(m - lm_t) * tail_t as a row of the degree of m, or as a dict."""
+        sp = self.space(self.pk.deg(m))
         q = m - self.lms[t]
+        if sp is None:
+            return {q + e: c for e, c in self.tails[t]}
+        _, index, width = sp
         out = 0
         for e, c in self.tails[t]:
             out |= c << (index[q + e] * width)
         return out
 
-    def _reducer_row(self, m: int) -> int | None:
+    def reducer_row(self, m: int) -> int | dict[int, int] | None:
         """The row of x^m's lowest-index divisor, kept; None when none divides."""
+        row = self.rows.get(m)
+        if row is not None:
+            return row
         guards, lms = self.pk.guards, self.lms
         mg = m | guards
         for t in range(self.misses.get(m, 0), len(lms)):
@@ -266,10 +271,14 @@ class _Reducer:
         self.misses[m] = len(lms)
         return None
 
-    def reduce(self, work: int, d: int) -> list[tuple[int, int]]:
-        """The remainder of the row ``work`` of degree d, as (packed monomial,
-        coefficient) pairs in decreasing order: the leading term first."""
-        cols, _, width = self.space(d)
+    def reduce(self, work: int | dict[int, int], d: int) -> list[tuple[int, int]]:
+        """The remainder of the row or dict ``work`` of degree d, as (packed
+        monomial, coefficient) pairs in decreasing order: the leading term
+        first."""
+        sp = self.space(d)
+        if sp is None:
+            return self._reduce_terms(work)
+        cols, _, width = sp
         p, rows = self.p, self.rows
         rem: list[tuple[int, int]] = []
         while work:
@@ -281,11 +290,32 @@ class _Reducer:
                 m = cols[i]
                 r = rows.get(m)
                 if r is None:
-                    r = self._reducer_row(m)
+                    r = self.reducer_row(m)
                 if r is None:
                     rem.append((m, c))
                 else:
                     work += (p - c) * r
+        return rem
+
+    def _reduce_terms(self, work: dict[int, int]) -> list[tuple[int, int]]:
+        # the terms of a reducer row lie below its monomial, so a monomial
+        # popped from the heap never comes back
+        p, keyfn = self.p, self.keyfn
+        heap = [(-keyfn(m), m) for m in work]
+        heapq.heapify(heap)
+        rem: list[tuple[int, int]] = []
+        while heap:
+            m = heapq.heappop(heap)[1]
+            c = work.pop(m) % p
+            if c:
+                r = self.reducer_row(m)
+                if r is None:
+                    rem.append((m, c))
+                    continue
+                for e, v in r.items():
+                    if e not in work:
+                        heapq.heappush(heap, (-keyfn(e), e))
+                    work[e] = work.get(e, 0) + (p - c) * v
         return rem
 
 
@@ -327,8 +357,14 @@ def _s_pair(red: _Reducer, i: int, j: int, lcm: int) -> int:
     """The S-polynomial of the reducer's monic divisors i and j, whose
     leading monomials have the packed lcm ``lcm``, as a row of its degree:
     the leading terms cancel, so it is x^(lcm - lm_i) * tail_i plus p - 1
-    times x^(lcm - lm_j) * tail_j, added field by field."""
-    return red.row(i, lcm) + (red.p - 1) * red.row(j, lcm)
+    times x^(lcm - lm_j) * tail_j, added field by field, or term by term
+    in a degree without rows."""
+    a, b = red.row(i, lcm), red.row(j, lcm)
+    if isinstance(a, int):
+        return a + (red.p - 1) * b
+    for m, c in b.items():
+        a[m] = a.get(m, 0) + (red.p - 1) * c
+    return a
 
 
 def buchberger_iteration(
@@ -420,10 +456,10 @@ def _interreduce(red: _Reducer) -> list[Poly]:
             minimal.append(t)
     out = []
     for t in minimal:
-        lm = lms[t]
-        # a lone divisor's tail is reduced: no monomial of its degree but lm
-        # is divisible by lm
-        tail = red.reduce(red.row(t, lm), red.pk.deg(lm)) if len(lms) > 1 else red.tails[t]
+        lm, tail = lms[t], red.tails[t]
+        # a tail with no monomial in the initial ideal is reduced as it is
+        if any(red.reducer_row(m) is not None for m, _ in tail):
+            tail = red.reduce(red.row(t, lm), red.pk.deg(lm))
         g = red.to_poly(tail + [(lm, 1)])
         g._lead = (red.order, red.pk.unpack(lm))  # fill Poly's cache: lm is known
         out.append(g)

@@ -250,11 +250,28 @@ def test_cli_gb_degree_out_of_range_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["gb", _write(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: degree 40954 ") and "2^15" in err
-    # degree 25 in 6 variables has C(30, 5) = 142,506 > 2^17 monomials
-    text = "ring 6 32003\nx1^13 - x2^13\nx1*x3^12 - x4^13\n"
-    assert main(["gb", _write(tmp_path, text)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: degree 25 ") and "2^17" in err
+
+
+@pytest.mark.parametrize("text,basis", [
+    # degree 9 in 12 variables has C(20, 11) = 167,960 monomials; the one
+    # S-pair is coprime, and both tails are empty
+    ("ring 12 32003\nx1^9\nx2^9\n", ["x2^9", "x1^9"]),
+    # degree 25 in 6 variables has C(30, 5) = 142,506 monomials
+    ("ring 6 32003\nx1^13 - x2^13\nx1*x3^12 - x4^13\n",
+     ["x1*x3^12 - x4^13", "x1^13 - x2^13", "x2^13*x3^12 - x1^12*x4^13"]),
+])
+def test_cli_gb_sparse_ideal_lists_no_large_degree_space(text, basis, tmp_path, capsys, monkeypatch):
+    # binomials and monomials are divided term by term in a degree space
+    # that is large against their tails: no column of it is listed
+    real = monomials.memoized
+
+    def guarded(key, compute):
+        assert key[0] != "columns", key
+        return real(key, compute)
+
+    monkeypatch.setattr(monomials, "memoized", guarded)
+    assert main(["gb", _write(tmp_path, text)]) == 0
+    assert capsys.readouterr().out.splitlines() == basis
 
 
 def test_cli_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
